@@ -187,12 +187,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
     predictions = {}
     for rec in records:
         if params is not None:
-            if any(reg.features is None for reg in rec.regions):
+            ordered = formats.regions_by_id(rec, header.n_regions)
+            if any(reg.features is None for reg in ordered):
                 raise ConfigError(
                     f"image {rec.image_id!r}: checkpoint inference requires region features"
                 )
-            by_id = {reg.region_id: reg for reg in rec.regions}
-            ordered = [by_id[i] for i in sorted(by_id)]
             feats = np.stack([reg.features for reg in ordered])
             if feats.shape[1] != params.feature_dim:
                 raise ConfigError(

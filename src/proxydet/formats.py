@@ -136,6 +136,25 @@ def _parse_box(value, where: str) -> Box:
         raise DataError(f"{where}: {exc}") from exc
 
 
+def _parse_number(value, where: str, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: {field} must be a number, got {value!r}") from exc
+
+
+def _parse_features(value, where: str) -> np.ndarray:
+    try:
+        features = np.asarray([float(v) for v in value], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: features must be an array of numbers") from exc
+    # json reads NaN and Infinity tokens; no head output is defined for them
+    _require(
+        bool(np.isfinite(features).all()), where, "features must be finite (NaN or Infinity found)"
+    )
+    return features
+
+
 def _parse_probs(value, classes: tuple[str, ...], where: str) -> np.ndarray:
     _require(isinstance(value, dict), where, "pathology_probs must be an object")
     index = {name: i for i, name in enumerate(classes)}
@@ -143,7 +162,7 @@ def _parse_probs(value, classes: tuple[str, ...], where: str) -> np.ndarray:
     for name, p in value.items():
         if name not in index:
             raise DataError(f"{where}: unknown class name {name!r}")
-        p = float(p)
+        p = _parse_number(p, where, f"probability for {name!r}")
         _require(0.0 <= p <= 1.0, where, f"probability for {name!r} outside [0, 1]")
         out[index[name]] = p
     return out
@@ -194,11 +213,17 @@ def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
         rwhere = f"{where}: regions[{i}]"
         _require(isinstance(reg, dict), rwhere, "must be an object")
         _require("region_id" in reg, rwhere, "missing region_id")
-        presence = float(reg.get("presence", 1.0))
+        region_id = reg["region_id"]
+        _require(
+            isinstance(region_id, int) and not isinstance(region_id, bool),
+            rwhere,
+            f"region_id must be an integer, got {region_id!r}",
+        )
+        presence = _parse_number(reg.get("presence", 1.0), rwhere, "presence")
         _require(0.0 <= presence <= 1.0, rwhere, "presence outside [0, 1]")
         features = None
         if reg.get("features") is not None:
-            features = np.asarray([float(v) for v in reg["features"]], dtype=np.float64)
+            features = _parse_features(reg["features"], rwhere)
             if header.feature_dim is not None:
                 _require(
                     features.shape[0] == header.feature_dim,
@@ -210,7 +235,7 @@ def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
             probs = _parse_probs(reg["pathology_probs"], header.classes, rwhere)
         regions.append(
             RegionRecord(
-                region_id=int(reg["region_id"]),
+                region_id=region_id,
                 box=_parse_box(reg.get("box"), rwhere),
                 presence=presence,
                 features=features,
@@ -360,7 +385,7 @@ def read_predictions(path: str | Path) -> tuple[list[str], dict[str, list[Pathol
             name = entry.get("class")
             if name not in index:
                 raise DataError(f"{bwhere}: unknown class name {name!r}")
-            score = float(entry.get("score", 0.0))
+            score = _parse_number(entry.get("score", 0.0), bwhere, "score")
             _require(0.0 <= score <= 1.0, bwhere, "score outside [0, 1]")
             boxes.append(
                 PathologyBox(
@@ -406,6 +431,20 @@ def read_mapping(path: str | Path) -> ClassMapping:
 # ---------------------------------------------------------------------------
 
 
+def regions_by_id(rec: ImageRecord, n_regions: int) -> list[RegionRecord]:
+    """A record's regions in id order; the ids must be exactly 0..n_regions-1.
+
+    Heads number their rows by region id, so a missing or repeated id
+    would score every later region as its neighbour.
+    """
+    if sorted(reg.region_id for reg in rec.regions) != list(range(n_regions)):
+        raise DataError(
+            f"image {rec.image_id!r}: region ids must be exactly 0..{n_regions - 1}"
+        )
+    by_id = {reg.region_id: reg for reg in rec.regions}
+    return [by_id[i] for i in range(n_regions)]
+
+
 def records_to_train_samples(
     header: DatasetHeader, records: list[ImageRecord]
 ) -> list[TrainSample]:
@@ -419,13 +458,7 @@ def records_to_train_samples(
     index = {name: i for i, name in enumerate(header.classes)}
     n_classes = len(header.classes)
     for rec in records:
-        ids = sorted(reg.region_id for reg in rec.regions)
-        if ids != list(range(header.n_regions)):
-            raise DataError(
-                f"image {rec.image_id!r}: region ids must be exactly 0..{header.n_regions - 1}"
-            )
-        by_id = {reg.region_id: reg for reg in rec.regions}
-        ordered = [by_id[i] for i in range(header.n_regions)]
+        ordered = regions_by_id(rec, header.n_regions)
         if any(reg.features is None for reg in ordered):
             raise ConfigError(f"image {rec.image_id!r}: training requires region features")
         features = np.stack([reg.features for reg in ordered])
@@ -435,7 +468,7 @@ def records_to_train_samples(
         if rec.anatomy_labels is not None:
             anatomy = np.zeros((header.n_regions, n_classes))
             for rid, names in rec.anatomy_labels.items():
-                if rid not in by_id:
+                if rid not in range(header.n_regions):
                     raise DataError(
                         f"image {rec.image_id!r}: anatomy_labels references unknown region {rid}"
                     )

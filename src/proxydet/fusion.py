@@ -6,13 +6,27 @@ weights, and averages the scores. Clusters are grown greedily in score
 order: each incoming box is compared against the *current fused box* of
 every existing cluster and joins the best-overlapping cluster above the
 IoU threshold, else opens a new one.
+
+The work per call runs on arrays and running sums. One k x k IoU table
+(:func:`geometry.iou_matrix`) gives the overlap of every incoming box
+with every cluster that still holds only its seed box; only a cluster
+that has merged computes a fresh IoU against its current fused box. A
+merged cluster keeps running sums in member order (score-weighted
+coordinates, scores, plain coordinates for the all-zero-score fallback)
+and running per-coordinate and score minima and maxima, so a join costs
+a constant number of float operations instead of a pass over every
+member. The result is bit-identical to the sequential definition, in
+which every join re-sums all members left to right: the same float
+operations run in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Box, iou
+import numpy as np
+
+from .geometry import Box, iou, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -42,44 +56,64 @@ class FusionConfig:
             raise ValueError(f"iou_threshold {self.iou_threshold} outside [0, 1]")
 
 
-class _Cluster:
-    """Mutable accumulator for one fusion cluster."""
+class _RunningCluster:
+    """Running sums of a cluster with two or more members, added in member order.
 
-    __slots__ = ("members", "fused_box")
+    Every sum starts at 0.0 and adds one member at a time, as a
+    left-to-right ``sum()`` over the members does. The current fused box
+    is exposed as ``x1, y1, x2, y2`` and ``area``, so :func:`geometry.iou`
+    reads it like a :class:`Box`.
+    """
 
-    def __init__(self, first: ScoredBox):
-        self.members: list[ScoredBox] = [first]
-        self.fused_box: Box = first.box
+    __slots__ = (
+        "weighted", "plain", "lo", "hi", "total", "count", "score_lo", "score_hi",
+        "x1", "y1", "x2", "y2", "area",
+    )
 
-    def add(self, member: ScoredBox) -> None:
-        self.members.append(member)
-        self.fused_box = self._weighted_box()
+    def __init__(self, corners: tuple[float, ...], score: float):
+        self.weighted = [0.0 + score * v for v in corners]
+        self.plain = [0.0 + v for v in corners]
+        self.lo = list(corners)
+        self.hi = list(corners)
+        self.total = 0.0 + score
+        self.count = 1
+        self.score_lo = self.score_hi = score
 
-    def _weighted_box(self) -> Box:
-        total = sum(m.score for m in self.members)
-        coords = []
-        for i in range(4):
-            vals = [m.box.as_tuple()[i] for m in self.members]
-            if total > 0.0:
-                v = sum(m.score * x for m, x in zip(self.members, vals)) / total
-            else:
-                # all-zero scores: fall back to the plain mean
-                v = sum(vals) / len(vals)
+    def add(self, corners: tuple[float, ...], score: float) -> None:
+        self.total += score
+        self.count += 1
+        if score < self.score_lo:
+            self.score_lo = score
+        if score > self.score_hi:
+            self.score_hi = score
+        weighted, plain, lo, hi = self.weighted, self.plain, self.lo, self.hi
+        fused = []
+        for d, v in enumerate(corners):
+            weighted[d] += score * v
+            plain[d] += v
+            if v < lo[d]:
+                lo[d] = v
+            if v > hi[d]:
+                hi[d] = v
+            # all-zero scores fall back to the plain mean
+            mean = weighted[d] / self.total if self.total > 0.0 else plain[d] / self.count
             # clip into the members' coordinate range: enforces the convex
             # combination exactly despite floating-point rounding
-            v = min(max(v, min(vals)), max(vals))
-            coords.append(v)
-        return Box(*coords)
+            fused.append(min(max(mean, lo[d]), hi[d]))
+        self.x1, self.y1, self.x2, self.y2 = fused
+        self.area = (self.x2 - self.x1) * (self.y2 - self.y1)
 
-    def fused_score(self, n_input: int, rescale: bool) -> float:
-        scores = [m.score for m in self.members]
-        s = sum(scores) / len(scores)
-        s = min(max(s, min(scores)), max(scores))
-        if rescale:
-            # the reference algorithm's cluster-size rescale; T is taken as
-            # the number of input boxes since there is a single source model
-            s *= min(len(scores), n_input) / n_input
-        return s
+
+def _fused_score(
+    total: float, count: int, lo: float, hi: float, n_input: int, rescale: bool
+) -> float:
+    s = total / count
+    s = min(max(s, lo), hi)
+    if rescale:
+        # the reference algorithm's cluster-size rescale; T is taken as
+        # the number of input boxes since there is a single source model
+        s *= min(count, n_input) / n_input
+    return s
 
 
 def weighted_box_fusion(boxes: list[ScoredBox], cfg: FusionConfig) -> list[ScoredBox]:
@@ -101,27 +135,45 @@ def weighted_box_fusion(boxes: list[ScoredBox], cfg: FusionConfig) -> list[Score
     if not boxes:
         return []
     ordered = sorted(boxes, key=lambda sb: (-sb.score, sb.source_index))
-    clusters: list[_Cluster] = []
-    for sb in ordered:
+    corners = [sb.box.as_tuple() for sb in ordered]
+    corner_array = np.array(corners)
+    table = iou_matrix(corner_array, corner_array).tolist()
+    seeds: list[int] = []  # position in ``ordered`` of each cluster's first box
+    merged: list[_RunningCluster | None] = []  # None while a cluster holds only its seed
+    for i, sb in enumerate(ordered):
+        overlaps = table[i]
         best_iou = cfg.iou_threshold
-        best: _Cluster | None = None
-        for cluster in clusters:
-            overlap = iou(sb.box, cluster.fused_box)
+        best = -1
+        for c, cluster in enumerate(merged):
+            overlap = overlaps[seeds[c]] if cluster is None else iou(sb.box, cluster)
             if overlap > best_iou:
                 best_iou = overlap
-                best = cluster
-        if best is None:
-            clusters.append(_Cluster(sb))
-        else:
-            best.add(sb)
+                best = c
+        if best < 0:
+            seeds.append(i)
+            merged.append(None)
+            continue
+        cluster = merged[best]
+        if cluster is None:
+            seed = seeds[best]
+            cluster = merged[best] = _RunningCluster(corners[seed], ordered[seed].score)
+        cluster.add(corners[i], sb.score)
 
-    fused = [
-        ScoredBox(
-            box=c.fused_box,
-            score=c.fused_score(len(boxes), cfg.score_rescale),
-            source_index=c.members[0].source_index,
-        )
-        for c in clusters
-    ]
+    n_input = len(boxes)
+    fused = []
+    for seed, cluster in zip(seeds, merged):
+        first = ordered[seed]
+        if cluster is None:
+            box = first.box
+            score = _fused_score(
+                0.0 + first.score, 1, first.score, first.score, n_input, cfg.score_rescale
+            )
+        else:
+            box = Box(cluster.x1, cluster.y1, cluster.x2, cluster.y2)
+            score = _fused_score(
+                cluster.total, cluster.count, cluster.score_lo, cluster.score_hi,
+                n_input, cfg.score_rescale,
+            )
+        fused.append(ScoredBox(box=box, score=score, source_index=first.source_index))
     fused.sort(key=lambda sb: (-sb.score, sb.source_index))
     return fused

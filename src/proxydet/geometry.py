@@ -114,6 +114,24 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of ``(N, 4)`` and ``(M, 4)`` corner arrays as an ``(N, M)`` table.
+
+    Entry ``[i, j]`` runs the float operations of :func:`iou` on ``a[i]``
+    and ``b[j]`` in the same order, so it equals ``iou`` bit for bit
+    (a zero may differ in sign).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    overlap = np.minimum(a[:, None, 2:], b[None, :, 2:]) - np.maximum(a[:, None, :2], b[None, :, :2])
+    np.maximum(overlap, 0.0, out=overlap)
+    inter = overlap[..., 0] * overlap[..., 1]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
 def giou(a: Box, b: Box) -> float:
     """Generalized IoU: ``iou - (|C| - |A u B|) / |C|`` with C the enclosing box.
 

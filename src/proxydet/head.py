@@ -33,7 +33,7 @@ from .losses import (
     asl,
     asl_grad,
 )
-from .geometry import CenterBox, center_to_corner, center_to_corner_batch, giou_batch, giou_gradient_batch
+from .geometry import Box, center_to_corner_batch, giou_batch, giou_gradient_batch
 from .inference import RegionDetection
 
 TRAIN_MODES = ("loc", "mil", "loc_mil")
@@ -140,12 +140,9 @@ def init_head_params(feature_dim: int, n_classes: int, rng: np.random.Generator)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|z|) never overflows; each branch equals the textbook form on its side
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(eq=False)
@@ -178,18 +175,17 @@ def predict_regions(features: np.ndarray, params: HeadParams) -> list[RegionDete
     assignment).
     """
     out = forward(features, params)
-    detections = []
-    for i in range(features.shape[0]):
-        box = center_to_corner(CenterBox.from_array(out.boxes[i]))
-        detections.append(
-            RegionDetection(
-                region_id=i,
-                box=box,
-                presence=float(out.presence[i]),
-                pathology_probs=out.pathology_probs[i],
-            )
+    corners, _ = center_to_corner_batch(out.boxes)
+    presence = out.presence.tolist()
+    return [
+        RegionDetection(
+            region_id=i,
+            box=Box(*row),
+            presence=presence[i],
+            pathology_probs=out.pathology_probs[i],
         )
-    return detections
+        for i, row in enumerate(corners.tolist())
+    ]
 
 
 def _forward_cache(x: np.ndarray, params: HeadParams) -> dict[str, np.ndarray]:

@@ -49,7 +49,7 @@ class RegionDetection:
             raise ValueError("pathology_probs must be a vector")
         if not 0.0 <= self.presence <= 1.0:
             raise ValueError(f"presence {self.presence} outside [0, 1]")
-        if np.any((self.pathology_probs < 0) | (self.pathology_probs > 1)):
+        if ((self.pathology_probs < 0.0) | (self.pathology_probs > 1.0)).any():
             raise ValueError("pathology probabilities outside [0, 1]")
 
 
@@ -100,22 +100,47 @@ class ClassMapping:
     def resolve(self, train_classes: list[str]) -> "ResolvedMapping":
         """Bind source-class names to indices in the training vocabulary."""
         index = {name: i for i, name in enumerate(train_classes)}
-        rows = []
-        for entry in self.entries:
+        by_length: dict[int, list[int]] = {}
+        for i, entry in enumerate(self.entries):
             unknown = [s for s in entry.sources if s not in index]
             if unknown:
                 raise ConfigError(
                     f"mapping for {entry.eval_class!r} references unknown training "
                     f"class(es): {unknown}"
                 )
-            rows.append((np.array([index[s] for s in entry.sources]), entry.combiner))
-        return ResolvedMapping(self, tuple(rows))
+            by_length.setdefault(len(entry.sources), []).append(i)
+        groups = tuple(
+            _SourceGroup(
+                entries=np.array(members),
+                sources=np.array([[index[s] for s in self.entries[i].sources] for i in members]),
+                is_mean=np.array([self.entries[i].combiner == "mean" for i in members]),
+            )
+            for members in by_length.values()
+        )
+        return ResolvedMapping(self, groups)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _SourceGroup:
+    """The mapping entries that have the same number of source classes."""
+
+    entries: np.ndarray  # (n,) evaluation-class positions
+    sources: np.ndarray  # (n, L) training-class indices, in each entry's source order
+    is_mean: np.ndarray  # (n,) True where the entry takes the mean, False for the max
+
+
+@dataclass(frozen=True, eq=False)
 class ResolvedMapping:
+    """A mapping bound to a training vocabulary, grouped by source count.
+
+    Within a group one row-wise reduction serves every entry. A row of an
+    ``(n, L)`` block is summed in the order ``np.mean`` sums a length-``L``
+    vector, so every mean is the same double as the mean of that entry's
+    sources on its own; mixing lengths in one segmented sum would not be.
+    """
+
     mapping: ClassMapping
-    rows: tuple[tuple[np.ndarray, str], ...]
+    groups: tuple[_SourceGroup, ...]
 
     @property
     def eval_classes(self) -> list[str]:
@@ -124,10 +149,14 @@ class ResolvedMapping:
     def map_probs(self, probs: np.ndarray) -> np.ndarray:
         """Map a training-class probability vector to evaluation classes."""
         probs = np.asarray(probs, dtype=np.float64)
-        out = np.empty(len(self.rows))
-        for i, (idx, combiner) in enumerate(self.rows):
-            src = probs[idx]
-            out[i] = float(np.mean(src)) if combiner == "mean" else float(np.max(src))
+        out = np.empty(len(self.mapping.entries))
+        for group in self.groups:
+            src = probs[group.sources]
+            out[group.entries] = np.where(
+                group.is_mean,
+                np.add.reduce(src, axis=1) / src.shape[1],
+                np.maximum.reduce(src, axis=1),
+            )
         return out
 
 
@@ -189,7 +218,7 @@ def detect_pathologies(
     if not regions:
         return []
     n_classes = regions[0].pathology_probs.shape[0]
-    candidates: list[list[ScoredBox]] = [[] for _ in range(n_classes)]
+    kept: list[RegionDetection] = []
     for det in regions:
         if det.pathology_probs.shape[0] != n_classes:
             raise ValueError("regions disagree on the number of classes")
@@ -201,12 +230,15 @@ def detect_pathologies(
             if diagnostics is not None:
                 diagnostics.degenerate_boxes += 1
             continue
-        for cls in range(n_classes):
-            p = float(det.pathology_probs[cls])
-            if p > cfg.probability_threshold:
-                candidates[cls].append(
-                    ScoredBox(box=det.box, score=p, source_index=len(candidates[cls]))
-                )
+        kept.append(det)
+
+    probs = np.array([det.pathology_probs for det in kept]).reshape(len(kept), n_classes)
+    # class-major (class, region) pairs, regions ascending within a class
+    cls_idx, reg_idx = np.nonzero(probs.T > cfg.probability_threshold)
+    candidates: list[list[ScoredBox]] = [[] for _ in range(n_classes)]
+    for cls, reg, p in zip(cls_idx.tolist(), reg_idx.tolist(), probs[reg_idx, cls_idx].tolist()):
+        group = candidates[cls]
+        group.append(ScoredBox(box=kept[reg].box, score=p, source_index=len(group)))
 
     out: list[PathologyBox] = []
     for cls in range(n_classes):

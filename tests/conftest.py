@@ -21,3 +21,20 @@ def boxes(draw, min_size: float = 0.0):
 @st.composite
 def center_boxes(draw):
     return CenterBox(draw(unit), draw(unit), draw(unit), draw(unit))
+
+
+# IoU and probability thresholds the exactness tests sweep
+THRESHOLDS = (0.0, 0.03, 0.5, 1.0)
+
+# a coarse grid makes tied scores, shared edges and zero-area boxes common
+_grid = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
+_coordinate = st.one_of(_grid, unit)
+score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), unit)
+
+
+@st.composite
+def any_box(draw):
+    """A box that is often degenerate or shares edges with other draws."""
+    x = sorted([draw(_coordinate), draw(_coordinate)])
+    y = sorted([draw(_coordinate), draw(_coordinate)])
+    return Box(x[0], y[0], x[1], y[1])

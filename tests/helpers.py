@@ -2,14 +2,24 @@
 
 Everything here is deliberately written from first principles (pixel
 counting, exhaustive enumeration, rank statistics) so it stays
-independent of the library code it checks.
+independent of the library code it checks. The fusion, class-mapping and
+candidate references are the sequential definitions the array code in
+``proxydet`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from proxydet.fusion import FusionConfig, ScoredBox
 from proxydet.geometry import Box
+from proxydet.inference import (
+    ClassMapping,
+    InferenceConfig,
+    InferenceDiagnostics,
+    PathologyBox,
+    RegionDetection,
+)
 
 
 def raster_masks(a: Box, b: Box, res: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,3 +132,117 @@ def auroc(scores, labels) -> float:
     ranks = np.empty(len(scores))
     ranks[order] = np.arange(1, len(scores) + 1)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+def left_sum(values) -> float:
+    """Left-to-right float sum from 0, as ``sum()`` adds floats before Python 3.12.
+
+    Python 3.12 made ``sum()`` of floats compensated; the references below
+    spell the sequential order out so they mean the same on every version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class _ClusterRef:
+    """One fusion cluster that re-sums all its members on every join."""
+
+    def __init__(self, first: ScoredBox):
+        self.members = [first]
+        self.fused_box = first.box
+
+    def add(self, member: ScoredBox) -> None:
+        self.members.append(member)
+        total = left_sum(m.score for m in self.members)
+        coords = []
+        for i in range(4):
+            vals = [m.box.as_tuple()[i] for m in self.members]
+            if total > 0.0:
+                v = left_sum(m.score * x for m, x in zip(self.members, vals)) / total
+            else:
+                v = left_sum(vals) / len(vals)
+            coords.append(min(max(v, min(vals)), max(vals)))
+        self.fused_box = Box(*coords)
+
+    def fused_score(self, n_input: int, rescale: bool) -> float:
+        scores = [m.score for m in self.members]
+        s = left_sum(scores) / len(scores)
+        s = min(max(s, min(scores)), max(scores))
+        if rescale:
+            s *= min(len(scores), n_input) / n_input
+        return s
+
+
+def wbf_ref(boxes: list[ScoredBox], cfg: FusionConfig) -> list[ScoredBox]:
+    """Sequential weighted box fusion: scalar IoU against every cluster per box."""
+    ordered = sorted(boxes, key=lambda sb: (-sb.score, sb.source_index))
+    clusters: list[_ClusterRef] = []
+    for sb in ordered:
+        best_iou = cfg.iou_threshold
+        best = None
+        for cluster in clusters:
+            overlap = iou_ref(sb.box, cluster.fused_box)
+            if overlap > best_iou:
+                best_iou = overlap
+                best = cluster
+        if best is None:
+            clusters.append(_ClusterRef(sb))
+        else:
+            best.add(sb)
+    fused = [
+        ScoredBox(
+            box=c.fused_box,
+            score=c.fused_score(len(boxes), cfg.score_rescale),
+            source_index=c.members[0].source_index,
+        )
+        for c in clusters
+    ]
+    fused.sort(key=lambda sb: (-sb.score, sb.source_index))
+    return fused
+
+
+def map_probs_ref(mapping: ClassMapping, train_classes: list[str], probs) -> np.ndarray:
+    """Per-entry class mapping: mean or max of each entry's source probabilities."""
+    index = {name: i for i, name in enumerate(train_classes)}
+    probs = np.asarray(probs, dtype=np.float64)
+    out = np.empty(len(mapping.entries))
+    for i, entry in enumerate(mapping.entries):
+        src = probs[[index[s] for s in entry.sources]]
+        out[i] = float(np.mean(src)) if entry.combiner == "mean" else float(np.max(src))
+    return out
+
+
+def detect_pathologies_ref(
+    regions: list[RegionDetection],
+    cfg: InferenceConfig,
+    diagnostics: InferenceDiagnostics | None = None,
+) -> list[PathologyBox]:
+    """Region-by-region candidate emission followed by :func:`wbf_ref` per class."""
+    if not regions:
+        return []
+    n_classes = regions[0].pathology_probs.shape[0]
+    candidates: list[list[ScoredBox]] = [[] for _ in range(n_classes)]
+    for det in regions:
+        if det.presence < cfg.presence_threshold:
+            if diagnostics is not None:
+                diagnostics.absent_regions += 1
+            continue
+        if det.box.area == 0.0:
+            if diagnostics is not None:
+                diagnostics.degenerate_boxes += 1
+            continue
+        for cls in range(n_classes):
+            p = float(det.pathology_probs[cls])
+            if p > cfg.probability_threshold:
+                candidates[cls].append(
+                    ScoredBox(box=det.box, score=p, source_index=len(candidates[cls]))
+                )
+    out: list[PathologyBox] = []
+    for cls in range(n_classes):
+        fused = wbf_ref(candidates[cls], cfg.fusion)
+        if cfg.top1_per_class:
+            fused = fused[:1]
+        out.extend(PathologyBox(class_id=cls, box=sb.box, score=sb.score) for sb in fused)
+    return out

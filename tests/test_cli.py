@@ -192,3 +192,71 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "head_backward" in out
+
+
+@pytest.fixture
+def five_images(tmp_path):
+    """A five-image dataset with features and a checkpoint trained on it."""
+    data = tmp_path / "five.jsonl"
+    ckpt = tmp_path / "five.ckpt"
+    assert _run("synth", "--n-images", 5, "--seed", 2, "--out", data) == 0
+    assert (
+        _run(
+            "train", "--data", data, "--batch-size", 5, "--max-steps", 2,
+            "--checkpoint-out", ckpt,
+        )
+        == 0
+    )
+    return data, ckpt
+
+
+def _edit_first_record(data, edit) -> None:
+    """Apply ``edit`` to the first image record (line 2) of a dataset file."""
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedInferInput:
+    """Bad dataset values end as an error naming the place, exit code 2."""
+
+    def _infer(self, five_images, tmp_path) -> int:
+        data, ckpt = five_images
+        return _run("infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+
+    def test_nan_feature(self, five_images, tmp_path, capsys):
+        def edit(record):
+            record["regions"][1]["features"][0] = float("nan")
+
+        _edit_first_record(five_images[0], edit)
+        assert self._infer(five_images, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "five.jsonl:2: regions[1]" in err and "finite" in err
+
+    def test_non_numeric_presence(self, five_images, tmp_path, capsys):
+        def edit(record):
+            record["regions"][0]["presence"] = "high"
+
+        _edit_first_record(five_images[0], edit)
+        assert self._infer(five_images, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "five.jsonl:2: regions[0]" in err and "presence" in err
+
+    def test_non_integer_region_id(self, five_images, tmp_path, capsys):
+        def edit(record):
+            record["regions"][0]["region_id"] = "left lung"
+
+        _edit_first_record(five_images[0], edit)
+        assert self._infer(five_images, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "five.jsonl:2: regions[0]" in err and "region_id" in err
+
+    def test_missing_region(self, five_images, tmp_path, capsys):
+        def edit(record):
+            record["regions"] = [r for r in record["regions"] if r["region_id"] != 3]
+
+        _edit_first_record(five_images[0], edit)
+        assert self._infer(five_images, tmp_path) == 2
+        assert "region ids must be exactly 0..7" in capsys.readouterr().err

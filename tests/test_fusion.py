@@ -1,7 +1,10 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import iou_ref, random_box
+from conftest import THRESHOLDS, any_box, score
+from helpers import iou_ref, random_box, wbf_ref
 
 from proxydet.fusion import FusionConfig, ScoredBox, weighted_box_fusion
 from proxydet.geometry import Box
@@ -137,3 +140,31 @@ class TestProperties:
             out = weighted_box_fusion(_random_instance(rng), FusionConfig())
             scores = [sb.score for sb in out]
             assert scores == sorted(scores, reverse=True)
+
+
+@st.composite
+def fusion_inputs(draw, max_boxes: int = 40):
+    """Up to ``max_boxes`` boxes with frequent score ties; sometimes every score is 0."""
+    n = draw(st.integers(min_value=0, max_value=max_boxes))
+    all_zero = draw(st.booleans())
+    return [
+        ScoredBox(draw(any_box()), 0.0 if all_zero else draw(score), i) for i in range(n)
+    ]
+
+
+class TestMatchesSequentialReference:
+    """The array implementation equals the re-sum-every-join definition exactly."""
+
+    @settings(max_examples=300)
+    @given(
+        inputs=fusion_inputs(),
+        threshold=st.sampled_from(THRESHOLDS),
+        rescale=st.booleans(),
+        permutation_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_equal_to_reference(self, inputs, threshold, rescale, permutation_seed):
+        cfg = FusionConfig(iou_threshold=threshold, score_rescale=rescale)
+        # input order must not matter beyond (score, source_index)
+        order = np.random.default_rng(permutation_seed).permutation(len(inputs))
+        out = weighted_box_fusion([inputs[j] for j in order], cfg)
+        assert out == wbf_ref(inputs, cfg)

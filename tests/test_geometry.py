@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from proxydet.geometry import (
     giou_gradient,
     giou_gradient_batch,
     iou,
+    iou_matrix,
 )
 
 
@@ -88,6 +90,14 @@ class TestIou:
             v = iou(a, b)
             assert 0.0 <= v <= 1.0
             assert v == iou(b, a)
+
+
+    @given(st.lists(boxes(), min_size=1, max_size=12), st.lists(boxes(), min_size=1, max_size=12))
+    def test_matrix_matches_scalar_exactly(self, a, b):
+        table = iou_matrix(
+            np.array([x.as_tuple() for x in a]), np.array([y.as_tuple() for y in b])
+        )
+        assert table.tolist() == [[iou(x, y) for y in b] for x in a]
 
 
 class TestGiou:

@@ -1,9 +1,12 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from helpers import auroc
 
 from proxydet.errors import ConfigError, TrainingError
+from proxydet.geometry import CenterBox, center_to_corner
 from proxydet.head import (
     AdamW,
     Batch,
@@ -17,6 +20,7 @@ from proxydet.head import (
     predict_regions,
     train,
 )
+from proxydet.head import _sigmoid as _head_sigmoid
 from proxydet.losses import CombinedLossWeights, asl_grad, finite_difference_check
 
 
@@ -94,6 +98,28 @@ class TestForward:
             assert np.array_equal(d.pathology_probs, out.pathology_probs[i])
             cx, cy, w, h = out.boxes[i]
             assert d.box.x1 == pytest.approx(max(cx - w / 2, 0.0), abs=1e-15)
+
+
+    @given(st.lists(st.floats(min_value=-800.0, max_value=800.0), min_size=1, max_size=20))
+    def test_sigmoid_equals_masked_form(self, values):
+        z = np.array(values)
+        pos = z >= 0
+        masked = np.empty_like(z)
+        masked[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        e = np.exp(z[~pos])
+        masked[~pos] = e / (1.0 + e)
+        assert _head_sigmoid(z).tolist() == masked.tolist()
+
+    @given(seed=st.integers(min_value=0, max_value=2**16), r=st.integers(min_value=1, max_value=9))
+    def test_predict_regions_matches_scalar_conversion(self, seed, r):
+        rng = np.random.default_rng(seed)
+        p = _params(d=5, c=2, seed=seed)
+        x = rng.normal(size=(r, 5)) * 3.0
+        out = forward(x, p)
+        boxes = [center_to_corner(CenterBox.from_array(row)) for row in out.boxes]
+        dets = predict_regions(x, p)
+        assert [d.box for d in dets] == boxes
+        assert [d.presence for d in dets] == out.presence.tolist()
 
 
 def _random_batch(rng, b=2, r=3, d=6, c=3, with_anatomy=True, with_image=True):

@@ -1,7 +1,10 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import iou_ref, random_box
+from conftest import THRESHOLDS, any_box, score
+from helpers import detect_pathologies_ref, iou_ref, map_probs_ref, random_box
 
 from proxydet.errors import ConfigError
 from proxydet.fusion import FusionConfig
@@ -211,3 +214,55 @@ class TestPipelineProperties:
             input_boxes = {d.box.as_tuple() for d in regions}
             for pb in out:
                 assert pb.box.as_tuple() in input_boxes
+
+
+@st.composite
+def region_sets(draw):
+    n_classes = draw(st.integers(min_value=1, max_value=6))
+    n_regions = draw(st.integers(min_value=0, max_value=40 // n_classes + 1))
+    presence = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+    return [
+        _det(draw(any_box()), draw(presence), [draw(score) for _ in range(n_classes)], i)
+        for i in range(n_regions)
+    ]
+
+
+class TestMatchesRegionLoopReference:
+    """One (region, class) mask plus array fusion equals the per-region loop exactly."""
+
+    @settings(max_examples=200)
+    @given(
+        regions=region_sets(),
+        tau=st.sampled_from(THRESHOLDS),
+        wbf_iou=st.sampled_from(THRESHOLDS),
+        rescale=st.booleans(),
+        top1=st.booleans(),
+    )
+    def test_detect_pathologies(self, regions, tau, wbf_iou, rescale, top1):
+        cfg = InferenceConfig(
+            probability_threshold=tau,
+            fusion=FusionConfig(iou_threshold=wbf_iou, score_rescale=rescale),
+            top1_per_class=top1,
+        )
+        got, want = InferenceDiagnostics(), InferenceDiagnostics()
+        assert detect_pathologies(regions, cfg, got) == detect_pathologies_ref(regions, cfg, want)
+        assert got == want
+
+    @given(
+        n_train=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_map_probs(self, n_train, data):
+        train_classes = [f"t{i}" for i in range(n_train)]
+        entries = tuple(
+            MappingEntry(
+                f"e{i}",
+                tuple(data.draw(st.lists(st.sampled_from(train_classes), min_size=1, max_size=12))),
+                data.draw(st.sampled_from(["mean", "max"])),
+            )
+            for i in range(data.draw(st.integers(min_value=1, max_value=8)))
+        )
+        mapping = ClassMapping(entries)
+        probs = np.array(data.draw(st.lists(score, min_size=n_train, max_size=n_train)))
+        out = mapping.resolve(train_classes).map_probs(probs)
+        assert out.tolist() == map_probs_ref(mapping, train_classes, probs).tolist()
