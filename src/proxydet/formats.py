@@ -176,9 +176,11 @@ def _iter_jsonl(path: str | Path):
             if not line:
                 continue
             try:
-                yield line_no, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+            _require(isinstance(obj, dict), f"{path}:{line_no}", "record must be a JSON object")
+            yield line_no, obj
 
 
 def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
@@ -246,15 +248,19 @@ def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
     if obj.get("gt") is not None:
         gwhere = f"{where}: gt"
         gobj = obj["gt"]
+        _require(isinstance(gobj, dict), gwhere, "must be an object")
+        _require(isinstance(gobj.get("boxes", []), list), gwhere, "boxes must be an array")
         boxes = []
         seen = set()
         for i, entry in enumerate(gobj.get("boxes", [])):
+            _require(isinstance(entry, dict), f"{gwhere}.boxes[{i}]", "must be an object")
             name = entry.get("class")
             _require(name in header.classes, f"{gwhere}.boxes[{i}]", f"unknown class name {name!r}")
             _require(name not in seen, f"{gwhere}.boxes[{i}]", f"duplicate box for class {name!r}")
             seen.add(name)
             boxes.append((name, _parse_box(entry.get("box"), f"{gwhere}.boxes[{i}]")))
-        labels = list(gobj.get("image_labels", []))
+        labels = gobj.get("image_labels", [])
+        _require(isinstance(labels, list), gwhere, "image_labels must be an array")
         for name in labels:
             _require(name in header.classes, gwhere, f"unknown class name {name!r} in image_labels")
         _require(
@@ -266,12 +272,14 @@ def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
     anatomy = None
     if obj.get("anatomy_labels") is not None:
         awhere = f"{where}: anatomy_labels"
+        _require(isinstance(obj["anatomy_labels"], dict), awhere, "must be an object")
         anatomy = {}
         for key, names in obj["anatomy_labels"].items():
             try:
                 rid = int(key)
             except ValueError as exc:
                 raise DataError(f"{awhere}: region key {key!r} is not an integer") from exc
+            _require(isinstance(names, list), awhere, f"classes of region {key!r} must be an array")
             for name in names:
                 _require(name in header.classes, awhere, f"unknown class name {name!r}")
             anatomy[rid] = list(names)
@@ -373,15 +381,18 @@ def read_predictions(path: str | Path) -> tuple[list[str], dict[str, list[Pathol
         if classes is None:
             _require(obj.get("kind") == "predictions", where, "first record must be a predictions header")
             _require(obj.get("version") == FORMAT_VERSION, where, "unsupported format version")
-            classes = list(obj["classes"])
+            _require(isinstance(obj.get("classes"), list), where, "header must list the classes")
+            classes = obj["classes"]
             index = {name: i for i, name in enumerate(classes)}
             continue
         _require("image_id" in obj, where, "missing image_id")
         image_id = str(obj["image_id"])
         _require(image_id not in out, where, f"duplicate image id {image_id!r}")
+        _require(isinstance(obj.get("boxes", []), list), where, "boxes must be an array")
         boxes = []
         for i, entry in enumerate(obj.get("boxes", [])):
             bwhere = f"{where}: boxes[{i}]"
+            _require(isinstance(entry, dict), bwhere, "must be an object")
             name = entry.get("class")
             if name not in index:
                 raise DataError(f"{bwhere}: unknown class name {name!r}")
@@ -607,26 +618,28 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             raise DataError(f"{path}: not a checkpoint file (bad magic)")
         try:
             manifest = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            specs = [(str(spec["name"]), tuple(int(v) for v in spec["shape"])) for spec in manifest["arrays"]]
+            meta = CheckpointMeta(
+                mode=str(manifest["mode"]),
+                classes=tuple(manifest["classes"]),
+                seed=int(manifest["seed"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"{path}: checkpoint manifest missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:  # includes JSON and UTF-8 decoding errors
             raise DataError(f"{path}: malformed checkpoint manifest") from exc
         arrays: dict[str, np.ndarray] = {}
-        for spec in manifest["arrays"]:
-            shape = tuple(int(v) for v in spec["shape"])
+        for name, shape in specs:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated checkpoint (array {spec['name']!r})")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise DataError(f"{path}: truncated checkpoint (array {name!r})")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after checkpoint payload")
     missing = [n for n in PARAM_FIELDS if n not in arrays]
     if missing:
         raise DataError(f"{path}: checkpoint missing arrays {missing}")
-    meta = CheckpointMeta(
-        mode=str(manifest["mode"]),
-        classes=tuple(manifest["classes"]),
-        seed=int(manifest["seed"]),
-    )
     return HeadParams.from_dict(arrays), meta
 
 

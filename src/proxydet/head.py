@@ -12,6 +12,10 @@ The decoder that would produce the region features upstream is out of
 scope; features arrive from files or the synthetic generator. Gradients
 are derived by hand (no autodiff) and verified against finite differences
 in the test suite; the optimizer is AdamW with decoupled weight decay.
+
+Training takes the loss terms and their gradients w.r.t. the head
+outputs from the batched core in :mod:`proxydet.losses` and
+backpropagates them through the sigmoids and the box MLP.
 """
 
 from __future__ import annotations
@@ -27,13 +31,12 @@ from .losses import (
     CombinedLossWeights,
     DetectionLossParams,
     LsePoolParams,
-    _bce,
-    _bce_grad,
-    _lse_pool_masked,
-    asl,
-    asl_grad,
+    combined_loss,
+    detection_terms,
+    loc_terms,
+    mil_terms,
 )
-from .geometry import Box, center_to_corner_batch, giou_batch, giou_gradient_batch
+from .geometry import Box, center_to_corner_batch
 from .inference import RegionDetection
 
 TRAIN_MODES = ("loc", "mil", "loc_mil")
@@ -306,83 +309,34 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     x = batch.features.reshape(b * r, d)
     cache = _forward_cache(x, params)
 
-    present = batch.present.astype(bool)
-    y_pres = present.astype(np.float64).reshape(b * r)
-    n_pos = present.sum(axis=1)  # (B,)
-
-    # presence: mean BCE over all regions of each sample, then over samples;
-    # regions per sample are constant, so this is the mean over all rows
     p_pres = cache["p_pres"]
-    presence_bce = float(np.mean(_bce(p_pres, y_pres)))
-    d_pres = _bce_grad(p_pres, y_pres) / (b * r) if want_grads else None
-
-    # box terms: per-sample mean over present regions, then over samples
     boxes = cache["boxes"].reshape(b, r, 4)
-    w_box = np.where(n_pos > 0, 1.0 / (b * np.maximum(n_pos, 1)), 0.0)  # (B,)
-    w_box = np.where(present, w_box[:, None], 0.0)  # (B, R)
-
-    diff = boxes - batch.target_boxes
-    l1 = float(np.sum(w_box * np.sum(np.abs(diff), axis=2)))
-
-    flat_present = present.reshape(b * r)
-    corners_pred, passthrough = center_to_corner_batch(boxes.reshape(b * r, 4)[flat_present])
-    corners_tgt, _ = center_to_corner_batch(batch.target_boxes.reshape(b * r, 4)[flat_present])
-    w_flat = w_box.reshape(b * r)[flat_present]
-    g_vals = giou_batch(corners_pred, corners_tgt)
-    giou_penalty = float(np.sum(w_flat * (1.0 - g_vals)))
-
-    det = cfg.detection
-    detection = (
-        det.presence_weight * presence_bce + det.l1_weight * l1 + det.giou_weight * giou_penalty
+    det, d_pres, d_boxes = detection_terms(
+        p_pres.reshape(b, r), boxes, batch.target_boxes, batch.present, cfg.detection, want_grads
     )
 
-    d_boxes = None
-    if want_grads:
-        d_boxes = det.l1_weight * np.sign(diff) * w_box[:, :, None]
-        g_corner, _ = giou_gradient_batch(corners_pred, corners_tgt)
-        g_corner = np.where(passthrough, -det.giou_weight * g_corner * w_flat[:, None], 0.0)
-        d_cs = np.empty_like(g_corner)
-        d_cs[:, 0] = g_corner[:, 0] + g_corner[:, 2]
-        d_cs[:, 1] = g_corner[:, 1] + g_corner[:, 3]
-        d_cs[:, 2] = 0.5 * (g_corner[:, 2] - g_corner[:, 0])
-        d_cs[:, 3] = 0.5 * (g_corner[:, 3] - g_corner[:, 1])
-        d_flat = d_boxes.reshape(b * r, 4)
-        d_flat[flat_present] += d_cs
-        d_boxes = d_flat
-
-    # classification terms
+    # a mode without a term contributes 0 to the loss and to its gradient
     p_path = cache["p_path"].reshape(b, r, c)
-    loc_val = 0.0
-    mil_val = 0.0
-    d_path = np.zeros((b, r, c)) if want_grads else None
+    loc_val = d_loc = mil_val = d_mil = 0.0
 
     if cfg.needs_anatomy_labels:
         if batch.anatomy_labels is None:
             raise ConfigError(f"mode {cfg.mode!r} requires anatomy-level labels")
-        w_loc = np.where(present, np.where(n_pos > 0, 1.0 / (b * np.maximum(n_pos, 1) * c), 0.0)[:, None], 0.0)
-        loc_elems = asl(p_path, batch.anatomy_labels, cfg.asl)
-        loc_val = float(np.sum(w_loc[:, :, None] * loc_elems))
-        if want_grads:
-            d_path += w_loc[:, :, None] * asl_grad(p_path, batch.anatomy_labels, cfg.asl)
+        loc_val, d_loc = loc_terms(p_path, batch.anatomy_labels, batch.present, cfg.asl, want_grads)
 
     if cfg.needs_image_labels:
         if batch.image_labels is None:
             raise ConfigError(f"mode {cfg.mode!r} requires image-level labels")
-        if not present.any(axis=1).all():
+        if not batch.present.any(axis=1).all():
             raise ConfigError("image-level training needs at least one present region per sample")
-        pooled, weights = _lse_pool_masked(p_path, present, cfg.lse.r)  # (B, C), (B, R, C)
-        mil_val = float(np.mean(asl(pooled, batch.image_labels, cfg.asl)))
-        if want_grads:
-            upstream = asl_grad(pooled, batch.image_labels, cfg.asl) / (b * c)
-            d_path += weights * upstream[:, None, :]
+        mil_val, d_mil = mil_terms(p_path, batch.image_labels, batch.present, cfg.lse, cfg.asl, want_grads)
 
-    total = detection + cfg.weights.asl_weight * (loc_val + mil_val)
     breakdown = LossBreakdown(
-        total=total,
-        detection=detection,
-        presence_bce=presence_bce,
-        l1=l1,
-        giou_penalty=giou_penalty,
+        total=combined_loss(det.total, loc_val + mil_val, cfg.weights),
+        detection=det.total,
+        presence_bce=det.presence_bce,
+        l1=det.l1,
+        giou_penalty=det.giou_penalty,
         loc_asl=loc_val,
         mil_asl=mil_val,
     )
@@ -390,14 +344,14 @@ def _batch_loss_core(batch, params, cfg, want_grads):
         return breakdown, None
 
     # chain everything through the sigmoids and the box MLP
-    dz_pres = det.presence_weight * d_pres * p_pres * (1.0 - p_pres)
+    dz_pres = d_pres.reshape(b * r) * p_pres * (1.0 - p_pres)
     dz_path = (
         cfg.weights.asl_weight
-        * d_path.reshape(b * r, c)
+        * (d_loc + d_mil).reshape(b * r, c)
         * cache["p_path"]
         * (1.0 - cache["p_path"])
     )
-    dz_box = d_boxes * cache["boxes"] * (1.0 - cache["boxes"])
+    dz_box = d_boxes.reshape(b * r, 4) * cache["boxes"] * (1.0 - cache["boxes"])
 
     grads: dict[str, np.ndarray] = {}
     grads["presence_weight"] = x.T @ dz_pres

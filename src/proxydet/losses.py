@@ -6,6 +6,13 @@ cross-entropy + L1 + GIoU box regression), the region-level and
 image-level classification losses built from them, and a central
 finite-difference checker used to validate every analytic gradient.
 
+The detection, region-level and image-level losses have one batched
+implementation on ``(B, R, ...)`` arrays, :func:`detection_terms`,
+:func:`loc_terms` and :func:`mil_terms`, each returning the value and,
+on request, its gradients. Training calls them on whole batches; the
+per-image losses (``fixed_match_detection_loss``, ``loc_loss``,
+``mil_loss`` and their ``_grad`` forms) call them with a batch of one.
+
 Conventions shared by all losses here:
 
 * probabilities arrive already squashed into [0, 1] (sigmoid happens in
@@ -211,6 +218,100 @@ def _bce_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return gp + gn
 
 
+# ---------------------------------------------------------------------------
+# the batched core behind training and the per-image losses
+# ---------------------------------------------------------------------------
+
+
+def detection_terms(p_pres, boxes, target_boxes, present, params: DetectionLossParams, want_grads: bool):
+    """Fixed-matching detection loss over a batch: ``(value, d_pres, d_boxes)``.
+
+    Takes ``(B, R)`` presence probabilities, ``(B, R, 4)`` predicted and
+    target center/size boxes and ``(B, R)`` presence flags. The presence
+    BCE is the mean over all rows; the L1 and GIoU terms are per-sample
+    means over present regions (0 for a sample without any), averaged
+    over the batch. The gradients of the total are None without ``want_grads``.
+    """
+    present = np.asarray(present, dtype=bool)
+    if boxes.shape != target_boxes.shape or not boxes.shape[:-1] == p_pres.shape == present.shape:
+        raise ValueError("detection loss: region counts of inputs disagree")
+    b, r = present.shape
+    y = present.astype(np.float64)
+    presence_bce = float(np.mean(_bce(p_pres, y)))
+
+    n_pos = present.sum(axis=1)
+    w_box = np.where(present, np.where(n_pos > 0, 1.0 / (b * np.maximum(n_pos, 1)), 0.0)[:, None], 0.0)
+    diff = boxes - target_boxes
+    l1 = float(np.sum(w_box * np.sum(np.abs(diff), axis=2)))
+
+    # GIoU is taken on the corner boxes clamped to the unit square
+    corners_pred, passthrough = center_to_corner_batch(boxes[present])
+    corners_tgt, _ = center_to_corner_batch(target_boxes[present])
+    w_rows = w_box[present]
+    giou_penalty = float(np.sum(w_rows * (1.0 - giou_batch(corners_pred, corners_tgt))))
+
+    total = (
+        params.presence_weight * presence_bce
+        + params.l1_weight * l1
+        + params.giou_weight * giou_penalty
+    )
+    value = DetectionLossValue(total, presence_bce, l1, giou_penalty)
+    if not want_grads:
+        return value, None, None
+
+    d_pres = params.presence_weight * (_bce_grad(p_pres, y) / (b * r))
+    d_boxes = params.l1_weight * np.sign(diff) * w_box[:, :, None]
+    g_corner, _ = giou_gradient_batch(corners_pred, corners_tgt)
+    g_corner = np.where(passthrough, -params.giou_weight * g_corner * w_rows[:, None], 0.0)
+    # chain rule through (x1, y1) = (cx, cy) - (w, h) / 2 and (x2, y2) = (cx, cy) + (w, h) / 2
+    lo, hi = g_corner[:, :2], g_corner[:, 2:]
+    d_boxes[present] += np.concatenate([lo + hi, 0.5 * (hi - lo)], axis=1)
+    return value, d_pres, d_boxes
+
+
+def loc_terms(probs, labels, present, params: AslParams, want_grads: bool):
+    """Region-level ASL over ``(B, R, C)`` probabilities and labels: ``(value, d_probs)``.
+
+    Per sample, the mean over its (present region, class) pairs, 0 for a
+    sample without present regions; then the mean over samples. The
+    gradient is None without ``want_grads``.
+    """
+    present = np.asarray(present, dtype=bool)
+    if probs.shape != labels.shape or probs.shape[:-1] != present.shape:
+        raise ValueError("loc loss: shapes disagree")
+    b, _, c = probs.shape
+    n_pos = present.sum(axis=1)
+    w = np.where(present, np.where(n_pos > 0, 1.0 / (b * np.maximum(n_pos, 1) * c), 0.0)[:, None], 0.0)
+    value = float(np.sum(w[:, :, None] * asl(probs, labels, params)))
+    return value, (w[:, :, None] * asl_grad(probs, labels, params) if want_grads else None)
+
+
+def mil_terms(probs, labels, present, lse: LsePoolParams, params: AslParams, want_grads: bool):
+    """Image-level ASL over ``(B, R, C)`` probabilities and ``(B, C)`` labels: ``(value, d_probs)``.
+
+    Per sample and class, the present regions' probabilities are pooled
+    with log-sum-exp; the value is the mean ASL over samples and classes.
+    Every sample needs a present region. The gradient is None without
+    ``want_grads``.
+    """
+    present = np.asarray(present, dtype=bool)
+    b, _, c = probs.shape
+    if probs.shape[:-1] != present.shape or labels.shape != (b, c):
+        raise ValueError("mil loss: shapes disagree")
+    if not present.any(axis=1).all():
+        raise ValueError("mil loss requires at least one present region per sample")
+    pooled, weights = _lse_pool_masked(probs, present, lse.r)  # (B, C), (B, R, C)
+    value = float(np.mean(asl(pooled, labels, params)))
+    if not want_grads:
+        return value, None
+    upstream = asl_grad(pooled, labels, params) / (b * c)
+    return value, weights * upstream[:, None, :]
+
+
+def _one_image(*arrays) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=np.float64)[None] for a in arrays]
+
+
 def fixed_match_detection_loss(
     pred_presence: np.ndarray,
     pred_boxes: np.ndarray,
@@ -233,10 +334,8 @@ def fixed_match_detection_loss(
     when no region is present). GIoU is evaluated on the corner-form
     boxes after clamping to the unit square.
     """
-    value, _, _ = _detection_loss_core(
-        pred_presence, pred_boxes, target_present, target_boxes, params, want_grads=False
-    )
-    return value
+    p, boxes, present, targets = _one_image(pred_presence, pred_boxes, target_present, target_boxes)
+    return detection_terms(p, boxes, targets, present, params, want_grads=False)[0]
 
 
 def fixed_match_detection_loss_grad(
@@ -247,66 +346,9 @@ def fixed_match_detection_loss_grad(
     params: DetectionLossParams = DetectionLossParams(),
 ) -> tuple[DetectionLossValue, np.ndarray, np.ndarray]:
     """Loss value plus gradients w.r.t. ``pred_presence`` and ``pred_boxes``."""
-    value, d_pres, d_boxes = _detection_loss_core(
-        pred_presence, pred_boxes, target_present, target_boxes, params, want_grads=True
-    )
-    return value, d_pres, d_boxes
-
-
-def _detection_loss_core(pred_presence, pred_boxes, target_present, target_boxes, params, want_grads):
-    p = np.asarray(pred_presence, dtype=np.float64)
-    boxes = np.asarray(pred_boxes, dtype=np.float64)
-    present = np.asarray(target_present).astype(bool)
-    targets = np.asarray(target_boxes, dtype=np.float64)
-    if p.shape[0] != boxes.shape[0] or boxes.shape != targets.shape or p.shape != present.shape:
-        raise ValueError("detection loss: region counts of inputs disagree")
-
-    y = present.astype(np.float64)
-    bce = _bce(p, y)
-    presence_bce = float(np.mean(bce))
-
-    n_pos = int(np.count_nonzero(present))
-    d_pres = None
-    d_boxes = None
-    if want_grads:
-        d_pres = params.presence_weight * _bce_grad(p, y) / p.shape[0]
-        d_boxes = np.zeros_like(boxes)
-
-    if n_pos == 0:
-        l1 = 0.0
-        giou_penalty = 0.0
-    else:
-        diff = boxes[present] - targets[present]
-        l1 = float(np.mean(np.sum(np.abs(diff), axis=1)))
-
-        corners_pred, passthrough = center_to_corner_batch(boxes[present])
-        corners_tgt, _ = center_to_corner_batch(targets[present])
-        g = giou_batch(corners_pred, corners_tgt)
-        giou_penalty = float(np.mean(1.0 - g))
-
-        if want_grads:
-            d_boxes[present] += params.l1_weight * np.sign(diff) / n_pos
-            g_corner, _ = giou_gradient_batch(corners_pred, corners_tgt)
-            g_corner = -params.giou_weight * g_corner / n_pos
-            g_corner = np.where(passthrough, g_corner, 0.0)
-            d_cs = np.empty_like(g_corner)
-            d_cs[:, 0] = g_corner[:, 0] + g_corner[:, 2]
-            d_cs[:, 1] = g_corner[:, 1] + g_corner[:, 3]
-            d_cs[:, 2] = 0.5 * (g_corner[:, 2] - g_corner[:, 0])
-            d_cs[:, 3] = 0.5 * (g_corner[:, 3] - g_corner[:, 1])
-            d_boxes[present] += d_cs
-
-    total = (
-        params.presence_weight * presence_bce
-        + params.l1_weight * l1
-        + params.giou_weight * giou_penalty
-    )
-    return DetectionLossValue(total, presence_bce, l1, giou_penalty), d_pres, d_boxes
-
-
-# ---------------------------------------------------------------------------
-# region-level and image-level classification losses
-# ---------------------------------------------------------------------------
+    p, boxes, present, targets = _one_image(pred_presence, pred_boxes, target_present, target_boxes)
+    value, d_pres, d_boxes = detection_terms(p, boxes, targets, present, params, want_grads=True)
+    return value, d_pres[0], d_boxes[0]
 
 
 def loc_loss(
@@ -319,15 +361,10 @@ def loc_loss(
 
     Zero with a diagnostic when no region is present.
     """
-    probs = np.asarray(pathology_probs, dtype=np.float64)
-    labels = np.asarray(anatomy_labels, dtype=np.float64)
-    mask = np.asarray(present).astype(bool)
-    if probs.shape != labels.shape or probs.shape[0] != mask.shape[0]:
-        raise ValueError("loc_loss: shapes disagree")
+    probs, labels, mask = _one_image(pathology_probs, anatomy_labels, present)
     if not mask.any():
         logger.warning("loc_loss: no present regions, loss defined as 0")
-        return 0.0
-    return float(np.mean(asl(probs[mask], labels[mask], params)))
+    return loc_terms(probs, labels, mask, params, want_grads=False)[0]
 
 
 def loc_loss_grad(
@@ -337,15 +374,8 @@ def loc_loss_grad(
     params: AslParams = AslParams(),
 ) -> np.ndarray:
     """Gradient of :func:`loc_loss` w.r.t. the probability matrix."""
-    probs = np.asarray(pathology_probs, dtype=np.float64)
-    labels = np.asarray(anatomy_labels, dtype=np.float64)
-    mask = np.asarray(present).astype(bool)
-    grad = np.zeros_like(probs)
-    if not mask.any():
-        return grad
-    n = int(np.count_nonzero(mask)) * probs.shape[1]
-    grad[mask] = asl_grad(probs[mask], labels[mask], params) / n
-    return grad
+    probs, labels, mask = _one_image(pathology_probs, anatomy_labels, present)
+    return loc_terms(probs, labels, mask, params, want_grads=True)[1][0]
 
 
 def mil_loss(
@@ -362,15 +392,8 @@ def mil_loss(
     image-level label; the result is the mean over classes. Requires at
     least one present region.
     """
-    probs = np.asarray(pathology_probs, dtype=np.float64)
-    labels = np.asarray(image_labels, dtype=np.float64)
-    mask = np.asarray(present).astype(bool)
-    if probs.shape[1] != labels.shape[0] or probs.shape[0] != mask.shape[0]:
-        raise ValueError("mil_loss: shapes disagree")
-    if not mask.any():
-        raise ValueError("mil_loss requires at least one present region")
-    pooled, _ = _lse_pool_masked(probs, mask, lse.r)
-    return float(np.mean(asl(pooled, labels, asl_params)))
+    probs, labels, mask = _one_image(pathology_probs, image_labels, present)
+    return mil_terms(probs, labels, mask, lse, asl_params, want_grads=False)[0]
 
 
 def mil_loss_grad(
@@ -381,14 +404,8 @@ def mil_loss_grad(
     asl_params: AslParams = AslParams(),
 ) -> np.ndarray:
     """Gradient of :func:`mil_loss` w.r.t. the probability matrix (chain through pooling)."""
-    probs = np.asarray(pathology_probs, dtype=np.float64)
-    labels = np.asarray(image_labels, dtype=np.float64)
-    mask = np.asarray(present).astype(bool)
-    if not mask.any():
-        raise ValueError("mil_loss requires at least one present region")
-    pooled, weights = _lse_pool_masked(probs, mask, lse.r)
-    upstream = asl_grad(pooled, labels, asl_params) / labels.shape[0]
-    return weights * upstream[None, :]
+    probs, labels, mask = _one_image(pathology_probs, image_labels, present)
+    return mil_terms(probs, labels, mask, lse, asl_params, want_grads=True)[1][0]
 
 
 @dataclass(frozen=True)

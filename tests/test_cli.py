@@ -260,3 +260,73 @@ class TestMalformedInferInput:
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
         assert "region ids must be exactly 0..7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gt", 5, "gt: must be an object"),
+            ("gt", {"boxes": ["x"]}, "gt.boxes[0]: must be an object"),
+            ("gt", {"boxes": 5}, "gt: boxes must be an array"),
+            ("anatomy_labels", [1], "anatomy_labels: must be an object"),
+        ],
+        ids=["gt-number", "gt-box-string", "gt-boxes-number", "anatomy-labels-array"],
+    )
+    def test_malformed_labels(self, five_images, tmp_path, capsys, field, value, message):
+        def edit(record):
+            record[field] = value
+
+        _edit_first_record(five_images[0], edit)
+        assert self._infer(five_images, tmp_path) == 2
+        assert f"five.jsonl:2: {message}" in capsys.readouterr().err
+
+
+class TestMalformedPredictions:
+    """A bad predictions file ends `eval` with an error naming the line, exit code 2."""
+
+    def _eval(self, five_images, tmp_path, lines) -> int:
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+        return _run("eval", "--pred", pred, "--gt", five_images[0], "--out-json", tmp_path / "r.json")
+
+    def test_header_without_classes(self, five_images, tmp_path, capsys):
+        assert self._eval(five_images, tmp_path, [{"kind": "predictions", "version": 1}]) == 2
+        err = capsys.readouterr().err
+        assert "pred.jsonl:1" in err and "classes" in err
+
+    def test_record_not_an_object(self, five_images, tmp_path, capsys):
+        header = {"kind": "predictions", "version": 1, "classes": ["a"]}
+        assert self._eval(five_images, tmp_path, [header, ["img_00000"]]) == 2
+        assert "pred.jsonl:2: record must be a JSON object" in capsys.readouterr().err
+
+    def test_box_entry_not_an_object(self, five_images, tmp_path, capsys):
+        header = {"kind": "predictions", "version": 1, "classes": ["a"]}
+        assert self._eval(five_images, tmp_path, [header, {"image_id": "x", "boxes": ["x"]}]) == 2
+        err = capsys.readouterr().err
+        assert "pred.jsonl:2: boxes[0]" in err and "must be an object" in err
+
+
+def _edit_manifest(ckpt, edit) -> None:
+    """Apply ``edit`` to the JSON manifest (second line) of a checkpoint file."""
+    magic, manifest, payload = ckpt.read_bytes().split(b"\n", 2)
+    obj = json.loads(manifest)
+    edit(obj)
+    ckpt.write_bytes(magic + b"\n" + json.dumps(obj).encode() + b"\n" + payload)
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m.pop("arrays"), "'arrays'"),
+            (lambda m: m.pop("mode"), "'mode'"),
+            (lambda m: m["arrays"][0].pop("name"), "'name'"),
+        ],
+        ids=["arrays", "mode", "name"],
+    )
+    def test_missing_manifest_field(self, five_images, tmp_path, capsys, edit, field):
+        data, ckpt = five_images
+        _edit_manifest(ckpt, edit)
+        code = _run("infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "five.ckpt" in err and f"manifest missing field {field}" in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from proxydet.head import (
     AdamW,
     Batch,
     HeadParams,
+    LossBreakdown,
     TrainConfig,
     TrainSample,
     batch_loss,
@@ -212,6 +215,39 @@ class TestBackward:
         assert both.total == pytest.approx(
             both.detection + 0.01 * (both.loc_asl + both.mil_asl), abs=1e-12
         )
+
+    @pytest.mark.parametrize("mode", ["loc", "mil", "loc_mil"])
+    def test_batch_is_mean_of_single_samples_with_absent_regions(self, mode):
+        rng = np.random.default_rng(14)
+        batch = _random_batch(rng, b=3, r=4, d=5, c=2)
+        batch.present = np.array(
+            [[True, False, True, False], [False, False, False, True], [True, True, True, False]]
+        )
+        if mode == "loc":
+            batch.present[1] = False  # a sample without present regions weighs 0 in its terms
+        params = _params(d=5, c=2, seed=15)
+        cfg = TrainConfig(mode=mode)
+        whole, grads = batch_loss_and_grads(batch, params, cfg)
+        singles = [
+            batch_loss_and_grads(
+                Batch(
+                    batch.features[i : i + 1],
+                    batch.target_boxes[i : i + 1],
+                    batch.present[i : i + 1],
+                    batch.anatomy_labels[i : i + 1],
+                    batch.image_labels[i : i + 1],
+                ),
+                params,
+                cfg,
+            )
+            for i in range(3)
+        ]
+        for name in (f.name for f in dataclasses.fields(LossBreakdown)):
+            expected = np.mean([getattr(one, name) for one, _ in singles])
+            assert getattr(whole, name) == pytest.approx(expected, abs=1e-12), name
+        for name, grad in grads.items():
+            expected = np.mean([one[name] for _, one in singles], axis=0)
+            assert grad == pytest.approx(expected, abs=1e-12), name
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
