@@ -166,6 +166,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     params = None
     if args.checkpoint:
         params, meta = formats.load_checkpoint(args.checkpoint)
+        # the dataset header names the classes of the per-region outputs, as with --probs-from-file
+        if tuple(meta.classes) != tuple(header.classes):
+            raise ConfigError(
+                f"checkpoint classes {list(meta.classes)} do not match the classes "
+                f"{list(header.classes)} of {args.data}"
+            )
         train_classes = list(meta.classes)
     else:
         train_classes = list(header.classes)

@@ -8,8 +8,11 @@ error).
 
 Scalar functions operate on :class:`Box` / :class:`CenterBox`; the
 ``*_batch`` variants operate on ``(N, 4)`` float arrays and are what the
-vectorized loss code uses. The scalar and batch paths are independent
-implementations and are cross-checked in the test suite.
+vectorized loss code uses. ``iou`` and ``giou`` are scalar
+implementations of their own, cross-checked against the batch forms in
+the test suite; ``giou_gradient`` is the batch gradient applied to one
+row, and the test suite checks the batch gradient against a per-column
+reference instead.
 """
 
 from __future__ import annotations
@@ -164,24 +167,33 @@ def giou_gradient(a: Box, b: Box) -> tuple[np.ndarray, bool]:
     return grads[0], bool(mask[0])
 
 
+def _coordinate_rows(a: np.ndarray) -> np.ndarray:
+    """``(N, 4)`` corners as four contiguous rows x1, y1, x2, y2.
+
+    Row-wise arithmetic on contiguous rows is faster than on the strided
+    columns of ``a``; the float operations and results are the same.
+    """
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64).T)
+
+
 def giou_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise GIoU for ``(N, 4)`` corner arrays.
 
     Raises :class:`DegenerateBoxPairError` if any row pairs two zero-area
     boxes.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    ax1, ay1, ax2, ay2 = _coordinate_rows(a)
+    bx1, by1, bx2, by2 = _coordinate_rows(b)
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
     if np.any((area_a == 0.0) & (area_b == 0.0)):
         raise DegenerateBoxPairError("GIoU undefined: zero-area pair in batch")
-    iw = np.maximum(0.0, np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]))
-    ih = np.maximum(0.0, np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]))
+    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = iw * ih
     union = area_a + area_b - inter
-    cw = np.maximum(a[:, 2], b[:, 2]) - np.minimum(a[:, 0], b[:, 0])
-    ch = np.maximum(a[:, 3], b[:, 3]) - np.minimum(a[:, 1], b[:, 1])
+    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     enclosing = cw * ch
     return inter / union - (enclosing - union) / enclosing
 
@@ -194,61 +206,54 @@ def giou_gradient_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     corners or exactly-touching intersection edges). Tie-breaking treats
     a's coordinate as active, giving a one-sided subgradient there.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    ax1, ay1, ax2, ay2 = _coordinate_rows(a)
+    bx1, by1, bx2, by2 = _coordinate_rows(b)
+    w_a = ax2 - ax1
+    h_a = ay2 - ay1
+    area_a = w_a * h_a
+    area_b = (bx2 - bx1) * (by2 - by1)
     if np.any((area_a == 0.0) & (area_b == 0.0)):
         raise DegenerateBoxPairError("GIoU gradient undefined: zero-area pair in batch")
 
-    ix1 = np.maximum(a[:, 0], b[:, 0])
-    iy1 = np.maximum(a[:, 1], b[:, 1])
-    ix2 = np.minimum(a[:, 2], b[:, 2])
-    iy2 = np.minimum(a[:, 3], b[:, 3])
-    iw = np.maximum(0.0, ix2 - ix1)
-    ih = np.maximum(0.0, iy2 - iy1)
+    dx = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    dy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    iw = np.maximum(0.0, dx)
+    ih = np.maximum(0.0, dy)
     inter = iw * ih
     union = area_a + area_b - inter
-    cw = np.maximum(a[:, 2], b[:, 2]) - np.minimum(a[:, 0], b[:, 0])
-    ch = np.maximum(a[:, 3], b[:, 3]) - np.minimum(a[:, 1], b[:, 1])
+    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     enclosing = cw * ch
 
-    w_a = a[:, 2] - a[:, 0]
-    h_a = a[:, 3] - a[:, 1]
-
     # a-active selectors for each min/max; ties count as active (>=, <=).
+    # Rows of the (4, N) arrays are the coordinates x1, y1, x2, y2.
     open_w = (iw > 0.0) & (ih > 0.0)
-    di_dax1 = np.where(open_w & (a[:, 0] >= b[:, 0]), -ih, 0.0)
-    di_dax2 = np.where(open_w & (a[:, 2] <= b[:, 2]), ih, 0.0)
-    di_day1 = np.where(open_w & (a[:, 1] >= b[:, 1]), -iw, 0.0)
-    di_day2 = np.where(open_w & (a[:, 3] <= b[:, 3]), iw, 0.0)
-    d_inter = np.stack([di_dax1, di_day1, di_dax2, di_day2], axis=1)
-
-    d_area = np.stack([-h_a, -w_a, h_a, w_a], axis=1)
-    d_union = d_area - d_inter
-
-    dc_dax1 = np.where(a[:, 0] <= b[:, 0], -ch, 0.0)
-    dc_dax2 = np.where(a[:, 2] >= b[:, 2], ch, 0.0)
-    dc_day1 = np.where(a[:, 1] <= b[:, 1], -cw, 0.0)
-    dc_day2 = np.where(a[:, 3] >= b[:, 3], cw, 0.0)
-    d_enc = np.stack([dc_dax1, dc_day1, dc_dax2, dc_day2], axis=1)
-
-    u = union[:, None]
-    c = enclosing[:, None]
-    # giou = inter/union + union/enclosing - 1
-    grads = (d_inter * u - inter[:, None] * d_union) / u**2 + (
-        d_union * c - u * d_enc
-    ) / c**2
-
-    tied = (
-        (a[:, 0] == b[:, 0])
-        | (a[:, 1] == b[:, 1])
-        | (a[:, 2] == b[:, 2])
-        | (a[:, 3] == b[:, 3])
+    d_inter = np.stack(
+        [
+            np.where(open_w & (ax1 >= bx1), -ih, 0.0),
+            np.where(open_w & (ay1 >= by1), -iw, 0.0),
+            np.where(open_w & (ax2 <= bx2), ih, 0.0),
+            np.where(open_w & (ay2 <= by2), iw, 0.0),
+        ]
     )
-    touching = ((ix2 - ix1) == 0.0) | ((iy2 - iy1) == 0.0)
-    nonsmooth = tied | touching
-    return grads, nonsmooth
+    d_union = np.stack([-h_a, -w_a, h_a, w_a]) - d_inter
+    d_enc = np.stack(
+        [
+            np.where(ax1 <= bx1, -ch, 0.0),
+            np.where(ay1 <= by1, -cw, 0.0),
+            np.where(ax2 >= bx2, ch, 0.0),
+            np.where(ay2 >= by2, cw, 0.0),
+        ]
+    )
+
+    u = union
+    c = enclosing
+    # giou = inter/union + union/enclosing - 1
+    grads = (d_inter * u - inter * d_union) / u**2 + (d_union * c - u * d_enc) / c**2
+
+    tied = (ax1 == bx1) | (ay1 == by1) | (ax2 == bx2) | (ay2 == by2)
+    touching = (dx == 0.0) | (dy == 0.0)
+    return grads.T, tied | touching
 
 
 def center_to_corner(c: CenterBox) -> Box:
@@ -284,11 +289,11 @@ def center_to_corner_batch(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     cs = np.asarray(cs, dtype=np.float64)
     cx, cy, w, h = cs[..., 0], cs[..., 1], cs[..., 2], cs[..., 3]
-    raw = np.stack(
-        [cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=-1
-    )
+    # built as contiguous coordinate rows; the results are (..., 4) views of them
+    raw = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0])
     passthrough = (raw > 0.0) & (raw < 1.0)
-    return np.clip(raw, 0.0, 1.0), passthrough
+    to_last = (*range(1, raw.ndim), 0)
+    return np.clip(raw, 0.0, 1.0).transpose(to_last), passthrough.transpose(to_last)
 
 
 def corner_to_center_batch(corners: np.ndarray) -> np.ndarray:

@@ -186,7 +186,7 @@ def check_mil_loss(
             probs = _sample_asl_probs(rng, (r, c), params, band=_CLIP_BAND)
             present = rng.random(r) < 0.8
             present[int(rng.integers(0, r))] = True
-            pooled, _ = _lse_pool_masked(probs, present, lse.r)
+            pooled, _ = _lse_pool_masked(probs, present, lse.r, present.sum())
             if not _in_clip_band(pooled, params, _CLIP_BAND).any():
                 break
         labels = rng.integers(0, 2, size=c).astype(float)
@@ -237,7 +237,7 @@ def _sample_head_instance(rng: np.random.Generator, cfg: head_mod.TrainConfig):
             continue
         from .losses import _lse_pool_masked
 
-        pooled, _ = _lse_pool_masked(probs.reshape(b, r, c), present, cfg.lse.r)
+        pooled, _ = _lse_pool_masked(probs.reshape(b, r, c), present, cfg.lse.r, present.sum(axis=1))
         if _in_clip_band(pooled, cfg.asl, _CLIP_BAND).any():
             continue
         return params, batch

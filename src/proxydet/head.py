@@ -20,7 +20,9 @@ backpropagates them through the sigmoids and the box MLP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -31,10 +33,12 @@ from .losses import (
     CombinedLossWeights,
     DetectionLossParams,
     LsePoolParams,
+    RegionTargets,
     combined_loss,
     detection_terms,
     loc_terms,
     mil_terms,
+    region_targets,
 )
 from .geometry import Box, center_to_corner_batch
 from .inference import RegionDetection
@@ -99,53 +103,88 @@ class HeadParams:
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, feature_dim: int, n_classes: int) -> "HeadParams":
-        shapes = _param_shapes(feature_dim, n_classes)
-        out = {}
-        pos = 0
-        for name in PARAM_FIELDS:
-            size = int(np.prod(shapes[name]))
-            out[name] = np.asarray(vec[pos : pos + size], dtype=np.float64).reshape(shapes[name])
-            pos += size
-        if pos != vec.size:
-            raise ValueError("flat vector length does not match parameter shapes")
-        return cls.from_dict(out)
+        """Parameters whose arrays are consecutive views of ``vec`` (a float64 vector is not copied)."""
+        vec = np.ascontiguousarray(vec, dtype=np.float64).reshape(-1)
+        return cls(**_FlatArrays(vec, _param_layout(feature_dim, n_classes)))
 
 
-def _param_shapes(feature_dim: int, n_classes: int) -> dict[str, tuple[int, ...]]:
+def _layout(shapes) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """``(name, shape, start, stop)`` of each ``(name, shape)`` array, in order, in one flat vector."""
+    layout, pos = [], 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        layout.append((name, tuple(shape), pos, pos + size))
+        pos += size
+    return tuple(layout)
+
+
+@lru_cache(maxsize=None)
+def _param_layout(feature_dim: int, n_classes: int) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """The layout of the head's parameter arrays, ``PARAM_FIELDS`` order."""
     d, c = feature_dim, n_classes
-    return {
-        "pathology_weight": (c, d),
-        "pathology_bias": (c,),
-        "presence_weight": (d,),
-        "presence_bias": (1,),
-        "box_w1": (d, d),
-        "box_b1": (d,),
-        "box_w2": (d, d),
-        "box_b2": (d,),
-        "box_w3": (4, d),
-        "box_b3": (4,),
-    }
+    return _layout(
+        [
+            ("pathology_weight", (c, d)),
+            ("pathology_bias", (c,)),
+            ("presence_weight", (d,)),
+            ("presence_bias", (1,)),
+            ("box_w1", (d, d)),
+            ("box_b1", (d,)),
+            ("box_w2", (d, d)),
+            ("box_b2", (d,)),
+            ("box_w3", (4, d)),
+            ("box_b3", (4,)),
+        ]
+    )
 
 
-def init_head_params(feature_dim: int, n_classes: int, rng: np.random.Generator) -> HeadParams:
-    """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero."""
+class _FlatArrays(dict):
+    """Named arrays that are consecutive views of one flat buffer, ``flat``.
+
+    The head's parameters during training and every gradient dict are
+    laid out this way, so :class:`AdamW` can update all of them with a
+    few whole-buffer operations. Replacing an entry breaks the link.
+    """
+
+    def __init__(self, flat: np.ndarray, layout: tuple[tuple[str, tuple[int, ...], int, int], ...]):
+        super().__init__()
+        if flat.size != layout[-1][3]:
+            raise ValueError("flat vector length does not match parameter shapes")
+        self.flat = flat
+        self.layout = layout
+        for name, shape, start, stop in layout:
+            self[name] = flat[start:stop].reshape(shape)
+
+    @classmethod
+    def empty(cls, layout) -> "_FlatArrays":
+        return cls(np.empty(layout[-1][3]), layout)
+
+
+def _init_flat_params(feature_dim: int, n_classes: int, rng: np.random.Generator) -> _FlatArrays:
     if feature_dim < 1 or n_classes < 1:
         raise ConfigError("feature_dim and n_classes must be positive")
     bound = 1.0 / np.sqrt(feature_dim)
-    shapes = _param_shapes(feature_dim, n_classes)
-    arrays: dict[str, np.ndarray] = {}
-    for name in PARAM_FIELDS:
+    arrays = _FlatArrays.empty(_param_layout(feature_dim, n_classes))
+    for name, arr in arrays.items():
         if name.endswith("bias") or name.endswith(("b1", "b2", "b3")):
-            arrays[name] = np.zeros(shapes[name], dtype=np.float64)
+            arr[...] = 0.0
         else:
-            arrays[name] = rng.uniform(-bound, bound, size=shapes[name])
-    return HeadParams.from_dict(arrays)
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    return arrays
+
+
+def init_head_params(feature_dim: int, n_classes: int, rng: np.random.Generator) -> HeadParams:
+    """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero.
+
+    The arrays are consecutive views of one flat buffer.
+    """
+    return HeadParams(**_init_flat_params(feature_dim, n_classes, rng))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; each branch equals the textbook form on its side
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(eq=False)
@@ -230,6 +269,9 @@ class Batch:
     present: np.ndarray  # (B, R) bool
     anatomy_labels: np.ndarray | None  # (B, R, C)
     image_labels: np.ndarray | None  # (B, C)
+    # per-sample loss constants; training takes them from the whole
+    # dataset's, and a batch without them derives its own on every call
+    targets: RegionTargets | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -306,14 +348,15 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     if d != params.feature_dim:
         raise ValueError(f"feature dim mismatch: batch {d}, params {params.feature_dim}")
     c = params.n_classes
+    targets = batch.targets
+    if targets is None:
+        targets = region_targets(batch.present, batch.target_boxes, c)
     x = batch.features.reshape(b * r, d)
     cache = _forward_cache(x, params)
 
     p_pres = cache["p_pres"]
     boxes = cache["boxes"].reshape(b, r, 4)
-    det, d_pres, d_boxes = detection_terms(
-        p_pres.reshape(b, r), boxes, batch.target_boxes, batch.present, cfg.detection, want_grads
-    )
+    det, d_pres, d_boxes = detection_terms(p_pres.reshape(b, r), boxes, targets, cfg.detection, want_grads)
 
     # a mode without a term contributes 0 to the loss and to its gradient
     p_path = cache["p_path"].reshape(b, r, c)
@@ -322,14 +365,14 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     if cfg.needs_anatomy_labels:
         if batch.anatomy_labels is None:
             raise ConfigError(f"mode {cfg.mode!r} requires anatomy-level labels")
-        loc_val, d_loc = loc_terms(p_path, batch.anatomy_labels, batch.present, cfg.asl, want_grads)
+        loc_val, d_loc = loc_terms(p_path, batch.anatomy_labels, targets, cfg.asl, want_grads)
 
     if cfg.needs_image_labels:
         if batch.image_labels is None:
             raise ConfigError(f"mode {cfg.mode!r} requires image-level labels")
-        if not batch.present.any(axis=1).all():
+        if not targets.n_present.all():
             raise ConfigError("image-level training needs at least one present region per sample")
-        mil_val, d_mil = mil_terms(p_path, batch.image_labels, batch.present, cfg.lse, cfg.asl, want_grads)
+        mil_val, d_mil = mil_terms(p_path, batch.image_labels, targets, cfg.lse, cfg.asl, want_grads)
 
     breakdown = LossBreakdown(
         total=combined_loss(det.total, loc_val + mil_val, cfg.weights),
@@ -353,20 +396,24 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     )
     dz_box = d_boxes.reshape(b * r, 4) * cache["boxes"] * (1.0 - cache["boxes"])
 
-    grads: dict[str, np.ndarray] = {}
-    grads["presence_weight"] = x.T @ dz_pres
-    grads["presence_bias"] = np.array([np.sum(dz_pres)])
-    grads["pathology_weight"] = dz_path.T @ x
-    grads["pathology_bias"] = np.sum(dz_path, axis=0)
+    # every gradient is written into one flat buffer
+    grads = _FlatArrays.empty(_param_layout(d, c))
+    np.matmul(x.T, dz_pres, out=grads["presence_weight"])
+    np.sum(dz_pres, keepdims=True, out=grads["presence_bias"])
+    np.matmul(dz_path.T, x, out=grads["pathology_weight"])
+    np.sum(dz_path, axis=0, out=grads["pathology_bias"])
 
-    grads["box_w3"] = dz_box.T @ cache["h2"]
-    grads["box_b3"] = np.sum(dz_box, axis=0)
-    dh2 = (dz_box @ params.box_w3) * (cache["h2_pre"] > 0.0)
-    grads["box_w2"] = dh2.T @ cache["h1"]
-    grads["box_b2"] = np.sum(dh2, axis=0)
-    dh1 = (dh2 @ params.box_w2) * (cache["h1_pre"] > 0.0)
-    grads["box_w1"] = dh1.T @ x
-    grads["box_b1"] = np.sum(dh1, axis=0)
+    # each hidden layer's arrays are dropped once used; at D=512 that lowers the
+    # peak memory and the page faults of a step
+    np.matmul(dz_box.T, cache.pop("h2"), out=grads["box_w3"])
+    np.sum(dz_box, axis=0, out=grads["box_b3"])
+    dh2 = (dz_box @ params.box_w3) * (cache.pop("h2_pre") > 0.0)
+    np.matmul(dh2.T, cache.pop("h1"), out=grads["box_w2"])
+    np.sum(dh2, axis=0, out=grads["box_b2"])
+    dh1 = (dh2 @ params.box_w2) * (cache.pop("h1_pre") > 0.0)
+    del dh2
+    np.matmul(dh1.T, x, out=grads["box_w1"])
+    np.sum(dh1, axis=0, out=grads["box_b1"])
     return breakdown, grads
 
 
@@ -379,8 +426,16 @@ class AdamW:
     """AdamW with decoupled weight decay, operating in place on array dicts.
 
     Decay is applied directly to the parameters (scaled by the learning
-    rate), not folded into the gradient; moments are bias-corrected.
+    rate), not folded into the gradient; moments are bias-corrected. The
+    moments of all arrays are views of one flat buffer, made on the first
+    step, so every step must pass the same array names and shapes. When
+    the parameters and the gradients are laid out in flat buffers the same
+    way, as in :func:`train`, :meth:`_update` runs on the whole buffers a
+    chunk at a time with persistent scratch space; otherwise it runs array
+    by array.
     """
+
+    _CHUNK = 1 << 14  # elements per whole-buffer pass
 
     def __init__(
         self,
@@ -402,20 +457,44 @@ class AdamW:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        if not self.exp_avg:
+            layout = _layout((name, np.shape(p)) for name, p in params.items())
+            self.exp_avg = _FlatArrays(np.zeros(layout[-1][3]), layout)
+            self.exp_avg_sq = _FlatArrays(np.zeros(layout[-1][3]), layout)
+            self._scratch = np.empty((2, min(layout[-1][3], self._CHUNK)))
+        m_all, v_all = self.exp_avg, self.exp_avg_sq
+        if getattr(params, "layout", None) == getattr(grads, "layout", None) == m_all.layout:
+            p, g, m, v = params.flat, grads.flat, m_all.flat, v_all.flat
+            for lo in range(0, p.size, self._CHUNK):
+                hi = min(lo + self._CHUNK, p.size)
+                s, u = self._scratch[:, : hi - lo]
+                self._update(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bc1, bc2, s, u)
+            return
         for name, p in params.items():
-            g = grads[name]
-            if name not in self.exp_avg:
-                self.exp_avg[name] = np.zeros_like(p)
-                self.exp_avg_sq[name] = np.zeros_like(p)
-            m = self.exp_avg[name]
-            v = self.exp_avg_sq[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+            s, u = np.empty_like(p), np.empty_like(p)
+            self._update(p, grads[name], m_all[name], v_all[name], bc1, bc2, s, u)
+
+    def _update(self, p, g, m, v, bc1, bc2, s, u) -> None:
+        """Update ``p`` and its moments ``m``, ``v`` in place; ``s``, ``u`` are scratch shaped like ``p``."""
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        s *= g
+        v += s
+        # s = sqrt(v / bc2) + eps, u = (m / bc1) / s + decay * p
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, bc1, out=u)
+        u /= s
+        np.multiply(p, self.weight_decay, out=s)
+        u += s
+        u *= self.learning_rate
+        p -= u
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +521,12 @@ class TrainResult:
     stopped_early: bool
 
 
-def _stack_samples(samples: list[TrainSample], cfg: TrainConfig) -> Batch:
+def _stack_samples(samples: list[TrainSample], cfg: TrainConfig, batch_size: int, n_classes: int):
+    """``(features, anatomy_labels, image_labels, targets)`` of all samples, stacked.
+
+    The loss targets are weighted for batches of ``batch_size`` samples
+    taken from them, not for the whole stack.
+    """
     feats = np.stack([s.features for s in samples])
     boxes = np.stack([s.target_boxes for s in samples])
     present = np.stack([s.present for s in samples])
@@ -462,7 +546,7 @@ def _stack_samples(samples: list[TrainSample], cfg: TrainConfig) -> Batch:
                 f"mode {cfg.mode!r} requires image-level labels; missing for sample(s) {missing[:5]}"
             )
         imgl = np.stack([s.image_labels for s in samples])
-    return Batch(feats, boxes, present, anat, imgl)
+    return feats, anat, imgl, region_targets(present, boxes, n_classes, batch_size)
 
 
 def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -487,13 +571,15 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
         raise ConfigError("training requires at least one sample")
     feature_dim = samples[0].features.shape[1]
     n_classes = _infer_n_classes(samples)
-    full = _stack_samples(samples, cfg)
+    batch_size = min(cfg.batch_size, len(samples))
+    feats, anat, imgl, all_targets = _stack_samples(samples, cfg, batch_size, n_classes)
 
-    params = init_head_params(feature_dim, n_classes, np.random.default_rng([cfg.seed, 0]))
+    # AdamW updates the flat buffer behind param_dict; params holds views of it
+    param_dict = _init_flat_params(feature_dim, n_classes, np.random.default_rng([cfg.seed, 0]))
+    params = HeadParams(**param_dict)
     opt = AdamW(learning_rate=cfg.lr, weight_decay=cfg.wd)
-    batches = _batch_indices(len(samples), min(cfg.batch_size, max(len(samples), 1)), np.random.default_rng([cfg.seed, 1]))
+    batches = _batch_indices(len(samples), batch_size, np.random.default_rng([cfg.seed, 1]))
 
-    param_dict = params.to_dict()
     history: list[tuple[int, LossBreakdown]] = []
     best = np.inf
     best_step = -1
@@ -501,13 +587,15 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
     steps_run = 0
     for step in range(cfg.max_steps):
         idx = next(batches)
+        targets = all_targets.take(idx)
         batch = Batch(
-            full.features[idx],
-            full.target_boxes[idx],
-            full.present[idx],
-            None if full.anatomy_labels is None else full.anatomy_labels[idx],
-            None if full.image_labels is None else full.image_labels[idx],
+            feats.take(idx, axis=0),
+            targets.boxes,
+            targets.present,
+            None if anat is None else anat.take(idx, axis=0),
+            None if imgl is None else imgl.take(idx, axis=0),
         )
+        batch.targets = targets
         breakdown, grads = batch_loss_and_grads(batch, params, cfg)
         opt.step(param_dict, grads)
         history.append((step, breakdown))

@@ -12,6 +12,9 @@ implementation on ``(B, R, ...)`` arrays, :func:`detection_terms`,
 on request, its gradients. Training calls them on whole batches; the
 per-image losses (``fixed_match_detection_loss``, ``loc_loss``,
 ``mil_loss`` and their ``_grad`` forms) call them with a batch of one.
+What they need of the targets besides the labels (present rows, per-sample
+weights and counts, clamped target corners) comes in a
+:class:`RegionTargets`, which training derives once per dataset.
 
 Conventions shared by all losses here:
 
@@ -134,45 +137,48 @@ class LsePoolParams:
             raise ValueError("pooling sharpness r must be > 0")
 
 
+def _one_column(values) -> np.ndarray:
+    x = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    if x.size == 0:
+        raise ValueError("lse_pool requires a non-empty input")
+    return x
+
+
 def lse_pool(values, params: LsePoolParams = LsePoolParams()) -> float:
     """``(1/r) * log(mean(exp(r * x)))`` with max-subtraction for overflow safety.
 
     Bounds: ``mean(x) <= lse_pool(x) <= max(x)`` and
     ``lse_pool(x) >= max(x) - log(N)/r``.
     """
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("lse_pool requires a non-empty input")
-    z = params.r * x
-    m = float(np.max(z))
-    return (m + float(np.log(np.mean(np.exp(z - m))))) / params.r
+    x = _one_column(values)
+    pooled, _ = _lse_pool_masked(x, np.ones(len(x), dtype=bool), params.r, len(x))
+    return float(pooled[0])
 
 
 def lse_pool_grad(values, params: LsePoolParams = LsePoolParams()) -> np.ndarray:
     """Gradient of :func:`lse_pool`: the softmax of ``r * x`` (sums to 1)."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("lse_pool requires a non-empty input")
-    z = params.r * x
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    x = _one_column(values)
+    _, weights = _lse_pool_masked(x, np.ones(len(x), dtype=bool), params.r, len(x))
+    return weights[:, 0].reshape(np.shape(values))
 
 
-def _lse_pool_masked(probs: np.ndarray, present: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _lse_pool_masked(probs, present, r: float, n_present) -> tuple[np.ndarray, np.ndarray]:
     """Pool ``(..., R, C)`` probabilities over the region axis, present rows only.
 
     Returns ``(pooled, weights)`` with pooled shaped ``(..., C)`` and
     weights shaped like ``probs`` (softmax over present rows, zero
-    elsewhere). Every sample must have at least one present region.
+    elsewhere). ``n_present`` is the per-sample count of present rows;
+    every sample must have at least one.
     """
-    mask = present[..., None].astype(bool)
+    present = np.asarray(present, dtype=bool)
+    mask = present[..., None]
     z = r * probs
-    z_masked = np.where(mask, z, -np.inf)
-    m = np.max(z_masked, axis=-2, keepdims=True)
+    # a maximum is exact in any order, so it can run over contiguous region rows;
+    # the sum keeps numpy's order on the (..., R, C) layout
+    m = np.max(np.moveaxis(np.where(mask, z, -np.inf), -2, 0).copy(), axis=0)[..., None, :]
     e = np.where(mask, np.exp(z - m), 0.0)
     denom = np.sum(e, axis=-2, keepdims=True)
-    n = np.sum(mask, axis=-2, keepdims=True)
-    pooled = (m[..., 0, :] + np.log(denom[..., 0, :] / n[..., 0, :])) / r
+    pooled = (m[..., 0, :] + np.log(denom[..., 0, :] / np.asarray(n_present)[..., None])) / r
     weights = e / denom
     return pooled, weights
 
@@ -205,49 +211,94 @@ class DetectionLossValue:
     giou_penalty: float
 
 
-def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return -(
-        y * np.log(np.maximum(p, _LOG_EPS))
-        + (1.0 - y) * np.log(np.maximum(1.0 - p, _LOG_EPS))
-    )
-
-
-def _bce_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gp = np.where(p > _LOG_EPS, -y / np.maximum(p, _LOG_EPS), 0.0)
-    gn = np.where(1.0 - p > _LOG_EPS, (1.0 - y) / np.maximum(1.0 - p, _LOG_EPS), 0.0)
-    return gp + gn
-
-
 # ---------------------------------------------------------------------------
 # the batched core behind training and the per-image losses
 # ---------------------------------------------------------------------------
 
 
-def detection_terms(p_pres, boxes, target_boxes, present, params: DetectionLossParams, want_grads: bool):
-    """Fixed-matching detection loss over a batch: ``(value, d_pres, d_boxes)``.
+@dataclass(eq=False)
+class RegionTargets:
+    """Per-sample constants of the region targets of a stack of samples.
 
-    Takes ``(B, R)`` presence probabilities, ``(B, R, 4)`` predicted and
-    target center/size boxes and ``(B, R)`` presence flags. The presence
-    BCE is the mean over all rows; the L1 and GIoU terms are per-sample
-    means over present regions (0 for a sample without any), averaged
-    over the batch. The gradients of the total are None without ``want_grads``.
+    Training derives them once for the whole dataset and takes each
+    batch's samples with :meth:`take`; the per-image losses derive them
+    for a batch of one. Weights are 0 on absent rows. On present rows the
+    box weight is ``1 / (batch * n_present)`` and the loc weight divides
+    that by the class count too, so a weighted sum over a batch is the
+    mean over its samples of their per-sample means.
+    """
+
+    present: np.ndarray  # (B, R) bool
+    rows: np.ndarray  # flat indices of the present (sample, region) rows
+    n_present: np.ndarray  # (B,) present regions per sample
+    box_weight: np.ndarray  # (B, R)
+    loc_weight: np.ndarray  # (B, R)
+    boxes: np.ndarray  # (B, R, 4) center/size
+    corners: np.ndarray  # (B, R, 4) target corners clamped to the unit square
+
+    def take(self, idx: np.ndarray) -> "RegionTargets":
+        """The targets of samples ``idx``, weights as derived."""
+        present = self.present.take(idx, axis=0)
+        return RegionTargets(
+            present,
+            np.flatnonzero(present),
+            *(
+                a.take(idx, axis=0)
+                for a in (self.n_present, self.box_weight, self.loc_weight, self.boxes, self.corners)
+            ),
+        )
+
+
+def region_targets(present, target_boxes, n_classes: int, batch_size: int | None = None) -> RegionTargets:
+    """Derive :class:`RegionTargets` from ``(B, R)`` presence flags.
+
+    ``target_boxes`` are ``(B, R, 4)`` center/size boxes and ``n_classes``
+    is the class count of the loc weight. ``batch_size`` is the number of
+    samples a loss averages over: ``B`` by default, the batch size when
+    batches are taken from these targets.
     """
     present = np.asarray(present, dtype=bool)
-    if boxes.shape != target_boxes.shape or not boxes.shape[:-1] == p_pres.shape == present.shape:
+    if present.ndim != 2:
+        raise ValueError("region targets: presence flags must be (B, R)")
+    n_present = present.sum(axis=1)
+    per_sample = (len(present) if batch_size is None else batch_size) * np.maximum(n_present, 1)
+    box_weight = np.where(present, (1.0 / per_sample)[:, None], 0.0)
+    loc_weight = np.where(present, (1.0 / (per_sample * n_classes))[:, None], 0.0)
+    boxes = np.asarray(target_boxes, dtype=np.float64)
+    if boxes.shape != present.shape + (4,):
+        raise ValueError("region targets: boxes must be (B, R, 4) for (B, R) presence flags")
+    corners = center_to_corner_batch(boxes.reshape(-1, 4))[0].reshape(boxes.shape)
+    return RegionTargets(present, np.flatnonzero(present), n_present, box_weight, loc_weight, boxes, corners)
+
+
+def detection_terms(p_pres, boxes, targets: RegionTargets, params: DetectionLossParams, want_grads: bool):
+    """Fixed-matching detection loss over a batch: ``(value, d_pres, d_boxes)``.
+
+    Takes ``(B, R)`` presence probabilities and ``(B, R, 4)`` predicted
+    center/size boxes. The presence BCE is the mean over all rows; the L1
+    and GIoU terms are per-sample means over present regions (0 for a
+    sample without any), averaged over the batch. The gradients of the
+    total are None without ``want_grads``.
+    """
+    present = targets.present
+    if boxes.shape != targets.boxes.shape or p_pres.shape != present.shape:
         raise ValueError("detection loss: region counts of inputs disagree")
     b, r = present.shape
-    y = present.astype(np.float64)
-    presence_bce = float(np.mean(_bce(p_pres, y)))
+    # the BCE target is 1 on present rows and 0 elsewhere, so each row needs one log
+    q = np.where(present, p_pres, 1.0 - p_pres)
+    presence_bce = float(np.mean(-np.log(np.maximum(q, _LOG_EPS))))
 
-    n_pos = present.sum(axis=1)
-    w_box = np.where(present, np.where(n_pos > 0, 1.0 / (b * np.maximum(n_pos, 1)), 0.0)[:, None], 0.0)
-    diff = boxes - target_boxes
-    l1 = float(np.sum(w_box * np.sum(np.abs(diff), axis=2)))
+    w_box = targets.box_weight
+    diff = boxes - targets.boxes
+    dist = np.abs(diff)
+    # left to right over the four coordinates, as np.sum(dist, axis=2) adds them
+    l1 = float(np.sum(w_box * (((dist[..., 0] + dist[..., 1]) + dist[..., 2]) + dist[..., 3])))
 
     # GIoU is taken on the corner boxes clamped to the unit square
-    corners_pred, passthrough = center_to_corner_batch(boxes[present])
-    corners_tgt, _ = center_to_corner_batch(target_boxes[present])
-    w_rows = w_box[present]
+    rows = targets.rows
+    corners_pred, passthrough = center_to_corner_batch(boxes.reshape(-1, 4).take(rows, axis=0))
+    corners_tgt = targets.corners.reshape(-1, 4).take(rows, axis=0)
+    w_rows = w_box.reshape(-1).take(rows)
     giou_penalty = float(np.sum(w_rows * (1.0 - giou_batch(corners_pred, corners_tgt))))
 
     total = (
@@ -259,34 +310,36 @@ def detection_terms(p_pres, boxes, target_boxes, present, params: DetectionLossP
     if not want_grads:
         return value, None, None
 
-    d_pres = params.presence_weight * (_bce_grad(p_pres, y) / (b * r))
+    d_bce = np.where(q > _LOG_EPS, np.where(present, -1.0, 1.0) / np.maximum(q, _LOG_EPS), 0.0)
+    d_pres = params.presence_weight * (d_bce / (b * r))
     d_boxes = params.l1_weight * np.sign(diff) * w_box[:, :, None]
     g_corner, _ = giou_gradient_batch(corners_pred, corners_tgt)
     g_corner = np.where(passthrough, -params.giou_weight * g_corner * w_rows[:, None], 0.0)
-    # chain rule through (x1, y1) = (cx, cy) - (w, h) / 2 and (x2, y2) = (cx, cy) + (w, h) / 2
-    lo, hi = g_corner[:, :2], g_corner[:, 2:]
-    d_boxes[present] += np.concatenate([lo + hi, 0.5 * (hi - lo)], axis=1)
+    # chain rule through (x1, y1) = (cx, cy) - (w, h) / 2 and (x2, y2) = (cx, cy) + (w, h) / 2,
+    # on coordinate rows (contiguous, as the geometry functions return them)
+    lo, hi = g_corner.T[:2], g_corner.T[2:]
+    d_rows = np.concatenate([lo + hi, 0.5 * (hi - lo)])
+    d_all = np.zeros((b * r, 4))
+    d_all[rows] = d_rows.T
+    d_boxes += d_all.reshape(b, r, 4)
     return value, d_pres, d_boxes
 
 
-def loc_terms(probs, labels, present, params: AslParams, want_grads: bool):
+def loc_terms(probs, labels, targets: RegionTargets, params: AslParams, want_grads: bool):
     """Region-level ASL over ``(B, R, C)`` probabilities and labels: ``(value, d_probs)``.
 
     Per sample, the mean over its (present region, class) pairs, 0 for a
     sample without present regions; then the mean over samples. The
     gradient is None without ``want_grads``.
     """
-    present = np.asarray(present, dtype=bool)
-    if probs.shape != labels.shape or probs.shape[:-1] != present.shape:
+    if probs.shape != labels.shape or probs.shape[:-1] != targets.present.shape:
         raise ValueError("loc loss: shapes disagree")
-    b, _, c = probs.shape
-    n_pos = present.sum(axis=1)
-    w = np.where(present, np.where(n_pos > 0, 1.0 / (b * np.maximum(n_pos, 1) * c), 0.0)[:, None], 0.0)
-    value = float(np.sum(w[:, :, None] * asl(probs, labels, params)))
-    return value, (w[:, :, None] * asl_grad(probs, labels, params) if want_grads else None)
+    w = targets.loc_weight[:, :, None]
+    value = float(np.sum(w * asl(probs, labels, params)))
+    return value, (w * asl_grad(probs, labels, params) if want_grads else None)
 
 
-def mil_terms(probs, labels, present, lse: LsePoolParams, params: AslParams, want_grads: bool):
+def mil_terms(probs, labels, targets: RegionTargets, lse: LsePoolParams, params: AslParams, want_grads: bool):
     """Image-level ASL over ``(B, R, C)`` probabilities and ``(B, C)`` labels: ``(value, d_probs)``.
 
     Per sample and class, the present regions' probabilities are pooled
@@ -294,13 +347,12 @@ def mil_terms(probs, labels, present, lse: LsePoolParams, params: AslParams, wan
     Every sample needs a present region. The gradient is None without
     ``want_grads``.
     """
-    present = np.asarray(present, dtype=bool)
     b, _, c = probs.shape
-    if probs.shape[:-1] != present.shape or labels.shape != (b, c):
+    if probs.shape[:-1] != targets.present.shape or labels.shape != (b, c):
         raise ValueError("mil loss: shapes disagree")
-    if not present.any(axis=1).all():
+    if not targets.n_present.all():
         raise ValueError("mil loss requires at least one present region per sample")
-    pooled, weights = _lse_pool_masked(probs, present, lse.r)  # (B, C), (B, R, C)
+    pooled, weights = _lse_pool_masked(probs, targets.present, lse.r, targets.n_present)  # (B, C), (B, R, C)
     value = float(np.mean(asl(pooled, labels, params)))
     if not want_grads:
         return value, None
@@ -310,6 +362,11 @@ def mil_terms(probs, labels, present, lse: LsePoolParams, params: AslParams, wan
 
 def _one_image(*arrays) -> list[np.ndarray]:
     return [np.asarray(a, dtype=np.float64)[None] for a in arrays]
+
+
+def _label_targets(present, n_classes: int) -> RegionTargets:
+    """Targets for the classification losses, which do not read the boxes."""
+    return region_targets(present, np.zeros(np.shape(present) + (4,)), n_classes)
 
 
 def fixed_match_detection_loss(
@@ -335,7 +392,9 @@ def fixed_match_detection_loss(
     boxes after clamping to the unit square.
     """
     p, boxes, present, targets = _one_image(pred_presence, pred_boxes, target_present, target_boxes)
-    return detection_terms(p, boxes, targets, present, params, want_grads=False)[0]
+    # the detection loss reads no loc weight, so any class count will do
+    targets = region_targets(present, targets, n_classes=1)
+    return detection_terms(p, boxes, targets, params, want_grads=False)[0]
 
 
 def fixed_match_detection_loss_grad(
@@ -347,7 +406,8 @@ def fixed_match_detection_loss_grad(
 ) -> tuple[DetectionLossValue, np.ndarray, np.ndarray]:
     """Loss value plus gradients w.r.t. ``pred_presence`` and ``pred_boxes``."""
     p, boxes, present, targets = _one_image(pred_presence, pred_boxes, target_present, target_boxes)
-    value, d_pres, d_boxes = detection_terms(p, boxes, targets, present, params, want_grads=True)
+    targets = region_targets(present, targets, n_classes=1)
+    value, d_pres, d_boxes = detection_terms(p, boxes, targets, params, want_grads=True)
     return value, d_pres[0], d_boxes[0]
 
 
@@ -364,7 +424,7 @@ def loc_loss(
     probs, labels, mask = _one_image(pathology_probs, anatomy_labels, present)
     if not mask.any():
         logger.warning("loc_loss: no present regions, loss defined as 0")
-    return loc_terms(probs, labels, mask, params, want_grads=False)[0]
+    return loc_terms(probs, labels, _label_targets(mask, probs.shape[-1]), params, want_grads=False)[0]
 
 
 def loc_loss_grad(
@@ -375,7 +435,7 @@ def loc_loss_grad(
 ) -> np.ndarray:
     """Gradient of :func:`loc_loss` w.r.t. the probability matrix."""
     probs, labels, mask = _one_image(pathology_probs, anatomy_labels, present)
-    return loc_terms(probs, labels, mask, params, want_grads=True)[1][0]
+    return loc_terms(probs, labels, _label_targets(mask, probs.shape[-1]), params, want_grads=True)[1][0]
 
 
 def mil_loss(
@@ -393,7 +453,8 @@ def mil_loss(
     least one present region.
     """
     probs, labels, mask = _one_image(pathology_probs, image_labels, present)
-    return mil_terms(probs, labels, mask, lse, asl_params, want_grads=False)[0]
+    targets = _label_targets(mask, probs.shape[-1])
+    return mil_terms(probs, labels, targets, lse, asl_params, want_grads=False)[0]
 
 
 def mil_loss_grad(
@@ -405,7 +466,8 @@ def mil_loss_grad(
 ) -> np.ndarray:
     """Gradient of :func:`mil_loss` w.r.t. the probability matrix (chain through pooling)."""
     probs, labels, mask = _one_image(pathology_probs, image_labels, present)
-    return mil_terms(probs, labels, mask, lse, asl_params, want_grads=True)[1][0]
+    targets = _label_targets(mask, probs.shape[-1])
+    return mil_terms(probs, labels, targets, lse, asl_params, want_grads=True)[1][0]
 
 
 @dataclass(frozen=True)

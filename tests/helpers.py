@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles (pixel
 counting, exhaustive enumeration, rank statistics) so it stays
 independent of the library code it checks. The fusion, class-mapping and
 candidate references are the sequential definitions the array code in
-``proxydet`` must reproduce bit for bit.
+``proxydet`` must reproduce bit for bit, as are the per-column GIoU
+gradient and the array-by-array training loop.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from proxydet.fusion import FusionConfig, ScoredBox
 from proxydet.geometry import Box
+from proxydet.head import Batch, HeadParams, TrainConfig, TrainSample, batch_loss_and_grads, init_head_params
 from proxydet.inference import (
     ClassMapping,
     InferenceConfig,
@@ -246,3 +248,113 @@ def detect_pathologies_ref(
             fused = fused[:1]
         out.extend(PathologyBox(class_id=cls, box=sb.box, score=sb.score) for sb in fused)
     return out
+
+
+def giou_gradient_ref(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``d giou / d a`` on the columns of ``(N, 4)`` corner arrays.
+
+    The column-by-column form that ``geometry.giou_gradient_batch``
+    replaced: the same float operations on the same values, so the two
+    must agree bit for bit, signed zeros and the non-smooth mask included.
+    """
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    ix1 = np.maximum(a[:, 0], b[:, 0])
+    iy1 = np.maximum(a[:, 1], b[:, 1])
+    ix2 = np.minimum(a[:, 2], b[:, 2])
+    iy2 = np.minimum(a[:, 3], b[:, 3])
+    iw = np.maximum(0.0, ix2 - ix1)
+    ih = np.maximum(0.0, iy2 - iy1)
+    inter = iw * ih
+    union = area_a + area_b - inter
+    cw = np.maximum(a[:, 2], b[:, 2]) - np.minimum(a[:, 0], b[:, 0])
+    ch = np.maximum(a[:, 3], b[:, 3]) - np.minimum(a[:, 1], b[:, 1])
+    enclosing = cw * ch
+    w_a = a[:, 2] - a[:, 0]
+    h_a = a[:, 3] - a[:, 1]
+
+    open_w = (iw > 0.0) & (ih > 0.0)
+    d_inter = np.stack(
+        [
+            np.where(open_w & (a[:, 0] >= b[:, 0]), -ih, 0.0),
+            np.where(open_w & (a[:, 1] >= b[:, 1]), -iw, 0.0),
+            np.where(open_w & (a[:, 2] <= b[:, 2]), ih, 0.0),
+            np.where(open_w & (a[:, 3] <= b[:, 3]), iw, 0.0),
+        ],
+        axis=1,
+    )
+    d_union = np.stack([-h_a, -w_a, h_a, w_a], axis=1) - d_inter
+    d_enc = np.stack(
+        [
+            np.where(a[:, 0] <= b[:, 0], -ch, 0.0),
+            np.where(a[:, 1] <= b[:, 1], -cw, 0.0),
+            np.where(a[:, 2] >= b[:, 2], ch, 0.0),
+            np.where(a[:, 3] >= b[:, 3], cw, 0.0),
+        ],
+        axis=1,
+    )
+    u = union[:, None]
+    c = enclosing[:, None]
+    grads = (d_inter * u - inter[:, None] * d_union) / u**2 + (d_union * c - u * d_enc) / c**2
+    tied = (a[:, 0] == b[:, 0]) | (a[:, 1] == b[:, 1]) | (a[:, 2] == b[:, 2]) | (a[:, 3] == b[:, 3])
+    touching = ((ix2 - ix1) == 0.0) | ((iy2 - iy1) == 0.0)
+    return grads, tied | touching
+
+
+class AdamWRef:
+    """AdamW array by array over dicts, as the update equations are written."""
+
+    def __init__(self, learning_rate, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.wd, self.beta1, self.beta2, self.eps = learning_rate, weight_decay, beta1, beta2, eps
+        self.t = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        for name, p in params.items():
+            g = grads[name]
+            m = self.m.setdefault(name, np.zeros_like(p))
+            v = self.v.setdefault(name, np.zeros_like(p))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.wd * p)
+
+
+def train_ref(samples: list[TrainSample], cfg: TrainConfig, n_classes: int):
+    """The training loop without early stopping, from public pieces.
+
+    Each step stacks its samples into a hand-built :class:`Batch` (so the
+    loss derives its targets from the batch itself), calls
+    ``batch_loss_and_grads`` and updates separately allocated arrays with
+    :class:`AdamWRef`. Returns ``(params, history)``.
+    """
+    n = len(samples)
+    size = min(cfg.batch_size, n)
+    init = init_head_params(samples[0].features.shape[1], n_classes, np.random.default_rng([cfg.seed, 0]))
+    params = HeadParams.from_dict({k: v.copy() for k, v in init.to_dict().items()})
+    arrays = params.to_dict()
+    opt = AdamWRef(cfg.lr, cfg.wd)
+    rng = np.random.default_rng([cfg.seed, 1])
+    buffer = np.empty(0, dtype=np.int64)
+    history = []
+    for step in range(cfg.max_steps):
+        while buffer.size < size:
+            buffer = np.concatenate([buffer, rng.permutation(n)])
+        chosen = [samples[i] for i in np.sort(buffer[:size])]
+        buffer = buffer[size:]
+
+        def stack(field):
+            values = [getattr(s, field) for s in chosen]
+            return None if values[0] is None else np.stack(values)
+
+        fields = ("features", "target_boxes", "present", "anatomy_labels", "image_labels")
+        batch = Batch(*(stack(f) for f in fields))
+        breakdown, grads = batch_loss_and_grads(batch, params, cfg)
+        opt.step(arrays, {k: np.array(v) for k, v in grads.items()})
+        history.append((step, breakdown))
+    return params, history

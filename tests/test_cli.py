@@ -330,3 +330,15 @@ class TestMalformedCheckpoint:
         assert code == 2
         err = capsys.readouterr().err
         assert "five.ckpt" in err and f"manifest missing field {field}" in err
+
+
+class TestCheckpointDatasetMismatch:
+    def test_classes_must_match_the_dataset(self, five_images, tmp_path, capsys):
+        _, ckpt = five_images
+        three = tmp_path / "three.jsonl"
+        assert _run("synth", "--n-images", 5, "--n-classes", 3, "--seed", 4, "--out", three) == 0
+        code = _run("infer", "--data", three, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint classes" in err and "three.jsonl" in err
+        assert not (tmp_path / "p.jsonl").exists()

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import boxes, center_boxes
-from helpers import grid_box, random_box, raster_giou, raster_iou
+from conftest import any_box, boxes, center_boxes
+from helpers import giou_gradient_ref, grid_box, random_box, raster_giou, raster_iou
 
 from proxydet.geometry import (
     Box,
@@ -213,6 +213,50 @@ class TestGiouGradient:
         for i, (ba, bb) in enumerate(pairs):
             scalar, _ = giou_gradient(ba, bb)
             assert np.allclose(grads[i], scalar, atol=1e-15)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestGiouGradientMatchesColumnReference:
+    """``giou_gradient_batch`` works on coordinate rows; the reference on columns."""
+
+    # boxes a few ulps wide square to 0 in the gradient's denominators: NaN on both sides
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    @given(
+        st.lists(st.tuples(any_box(), any_box()), min_size=1, max_size=30),
+        st.sampled_from([0.0, 1.0, None]),
+    )
+    def test_bit_equal(self, pairs, edge):
+        pairs = [(a, b) for a, b in pairs if a.area > 0.0 or b.area > 0.0]
+        # one zero-area box against a box with area, a corner pinned to the frame edge
+        pairs.append((Box(0.5, 0.25, 0.5, 0.75), Box(0.25, 0.25, 0.75, 0.75)))
+        if edge is not None:
+            pinned = Box(0.0, 0.0, 1.0, 0.5) if edge == 0.0 else Box(0.5, 0.5, 1.0, 1.0)
+            pairs.append((pinned, Box(0.25, 0.25, 0.75, 1.0)))
+        a = np.stack([p[0].to_array() for p in pairs])
+        b = np.stack([p[1].to_array() for p in pairs])
+        grads, nonsmooth = giou_gradient_batch(a, b)
+        ref_grads, ref_nonsmooth = giou_gradient_ref(a, b)
+        assert grads.shape == a.shape
+        assert _bits(grads) == _bits(ref_grads)
+        assert np.array_equal(nonsmooth, ref_nonsmooth)
+
+    def test_clamped_boxes_from_conversion(self):
+        rng = np.random.default_rng(21)
+        # centers near the frame edges clamp corners to exactly 0 or 1
+        scale, floor = np.array([1.0, 1.0, 0.6, 0.6]), np.array([0.0, 0.0, 0.05, 0.05])
+        a, _ = center_to_corner_batch(rng.uniform(-0.2, 1.2, size=(300, 4)) * scale + floor)
+        b, _ = center_to_corner_batch(rng.uniform(-0.2, 1.2, size=(300, 4)) * scale + floor)
+        assert np.any(a == 0.0) and np.any(a == 1.0)
+        keep = (a[:, 2] > a[:, 0]) & (a[:, 3] > a[:, 1]) | (b[:, 2] > b[:, 0]) & (b[:, 3] > b[:, 1])
+        a, b = a[keep], b[keep]
+        grads, nonsmooth = giou_gradient_batch(a, b)
+        ref_grads, ref_nonsmooth = giou_gradient_ref(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        assert _bits(grads) == _bits(ref_grads)
+        assert np.array_equal(nonsmooth, ref_nonsmooth) and nonsmooth.any()
 
 
 class TestCenterCorner:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import auroc
+from helpers import AdamWRef, auroc, train_ref
 
 from proxydet.errors import ConfigError, TrainingError
 from proxydet.geometry import CenterBox, center_to_corner
@@ -303,6 +303,24 @@ class TestAdamW:
             opt.step(params, {"x": np.array([0.1])})
         assert opt.step_count == 3
 
+    def test_flat_buffers_over_several_chunks_bit_equal_to_reference(self):
+        from proxydet.head import _FlatArrays, _init_flat_params, _param_layout
+
+        # at D=128 the flat update runs in three chunks, the last one partial
+        rng = np.random.default_rng(0)
+        params = _init_flat_params(128, 5, rng)
+        assert params.flat.size > 2 * AdamW._CHUNK and params.flat.size % AdamW._CHUNK
+        ref_params = {k: v.copy() for k, v in params.items()}
+        dict_params = {k: v.copy() for k, v in params.items()}
+        opt, by_array, ref = AdamW(0.01, 1e-4), AdamW(0.01, 1e-4), AdamWRef(0.01, 1e-4)
+        for _ in range(3):
+            grads = _FlatArrays(rng.normal(size=params.flat.size), _param_layout(128, 5))
+            opt.step(params, grads)
+            by_array.step(dict_params, dict(grads))
+            ref.step(ref_params, grads)
+        for name, arr in params.items():
+            assert arr.tobytes() == ref_params[name].tobytes() == dict_params[name].tobytes(), name
+
 
 def _toy_samples(n=40, seed=0, r=4, c=2, d=8):
     rng = np.random.default_rng(seed)
@@ -420,3 +438,24 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train([], TrainConfig(mode="loc"))
+
+
+class TestTrainMatchesReferenceLoop:
+    def test_loc_mil_with_dropout_bit_equal(self):
+        from proxydet.benchmark import scene_to_train_sample
+        from proxydet.synth import SynthConfig, generate_dataset
+
+        scenes = generate_dataset(SynthConfig(n_images=60, region_dropout=0.2, seed=5))
+        samples = [scene_to_train_sample(s) for s in scenes]
+        assert not all(s.present.all() for s in samples)
+        cfg = TrainConfig(mode="loc_mil", batch_size=16, max_steps=50, patience=50, seed=2, learning_rate=0.01)
+        result = train(samples, cfg)
+        ref_params, ref_history = train_ref(samples, cfg, n_classes=5)
+        for name, arr in result.params.to_dict().items():
+            assert arr.tobytes() == ref_params.to_dict()[name].tobytes(), name
+        assert len(result.history) == len(ref_history) == 50
+
+        def hexed(history):
+            return [(step, [float(v).hex() for v in dataclasses.astuple(row)]) for step, row in history]
+
+        assert hexed(result.history) == hexed(ref_history)
