@@ -35,6 +35,18 @@ from .losses import AslParams, CombinedLossWeights, DetectionLossParams, LsePool
 from .synth import SynthConfig, generate_dataset
 
 
+def _comma_list(text: str, flag: str, kind: type, length: int | None = None) -> tuple:
+    """Parse a comma-separated flag value; a bad one is a ConfigError like any bad config."""
+    try:
+        values = tuple(kind(v) for v in text.split(","))
+        if length is None or len(values) == length:
+            return values
+    except ValueError:
+        pass
+    count = "" if length is None else f"{length} "
+    raise ConfigError(f"{flag} must be {count}comma-separated {kind.__name__} values, got {text!r}")
+
+
 def _add_synth(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n-images", type=int, default=100)
@@ -57,7 +69,6 @@ def _add_synth(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    kmin, kmax = (int(v) for v in args.regions_per_finding.split(","))
     if args.holdout > 0 and not args.holdout_out:
         raise ConfigError("--holdout requires --holdout-out")
     cfg = SynthConfig(
@@ -69,7 +80,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         jitter=args.jitter,
         noise_sigma=args.noise_sigma,
         shrink_range=(args.shrink_min, args.shrink_max),
-        regions_per_finding=(kmin, kmax),
+        regions_per_finding=_comma_list(args.regions_per_finding, "--regions-per-finding", int, 2),
         affinity_size=args.affinity_size,
         region_dropout=args.region_dropout,
         seed=args.seed,
@@ -110,8 +121,6 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    header, records = formats.read_dataset(args.data)
-    samples = formats.records_to_train_samples(header, records)
     cfg = TrainConfig(
         mode=args.mode,
         batch_size=args.batch_size,
@@ -129,7 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         lse=LsePoolParams(r=args.lse_r),
         weights=CombinedLossWeights(asl_weight=args.asl_weight),
     )
-    result = train(samples, cfg)
+    header, records = formats.read_dataset(args.data)
+    result = train(formats.records_to_train_samples(header, records), cfg)
     formats.save_checkpoint(
         args.checkpoint_out,
         result.params,
@@ -162,6 +172,12 @@ def _add_infer(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    cfg = InferenceConfig(
+        probability_threshold=args.tau,
+        presence_threshold=args.presence_threshold,
+        fusion=FusionConfig(iou_threshold=args.wbf_iou, score_rescale=args.score_rescale),
+        top1_per_class=args.top1,
+    )
     header, records = formats.read_dataset(args.data)
     params = None
     if args.checkpoint:
@@ -171,6 +187,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"checkpoint classes {list(meta.classes)} do not match the classes "
                 f"{list(header.classes)} of {args.data}"
+            )
+        # the reader holds every region of the file to the header's feature_dim
+        if header.feature_dim not in (None, params.feature_dim):
+            raise ConfigError(
+                f"checkpoint feature_dim {params.feature_dim} does not match the feature "
+                f"length {header.feature_dim} of {args.data}"
             )
         train_classes = list(meta.classes)
     else:
@@ -183,12 +205,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     else:
         out_classes = train_classes
 
-    cfg = InferenceConfig(
-        probability_threshold=args.tau,
-        presence_threshold=args.presence_threshold,
-        fusion=FusionConfig(iou_threshold=args.wbf_iou, score_rescale=args.score_rescale),
-        top1_per_class=args.top1,
-    )
     diagnostics = InferenceDiagnostics()
     predictions = {}
     for rec in records:
@@ -198,13 +214,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 raise ConfigError(
                     f"image {rec.image_id!r}: checkpoint inference requires region features"
                 )
-            feats = np.stack([reg.features for reg in ordered])
-            if feats.shape[1] != params.feature_dim:
-                raise ConfigError(
-                    f"image {rec.image_id!r}: feature length {feats.shape[1]} does not "
-                    f"match the checkpoint's feature_dim {params.feature_dim}"
-                )
-            detections = predict_regions(feats, params)
+            detections = predict_regions(np.stack([reg.features for reg in ordered]), params)
         else:
             detections = formats.record_to_detections(rec, header)
         if mapping is not None:
@@ -228,15 +238,15 @@ def _add_eval(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    cfg = EvalConfig(
+        iou_thresholds=_comma_list(args.thresholds, "--thresholds", float),
+        locacc_score_threshold=args.locacc_score,
+        locacc_iou_thresholds=_comma_list(args.locacc_thresholds, "--locacc-thresholds", float),
+        locacc_positives_only=args.locacc_positives_only,
+    )
     classes, predictions = formats.read_predictions(args.pred)
     _, gt_records = formats.read_dataset(args.gt)
     gt = formats.ground_truth_from_records(gt_records, classes)
-    cfg = EvalConfig(
-        iou_thresholds=tuple(float(v) for v in args.thresholds.split(",")),
-        locacc_score_threshold=args.locacc_score,
-        locacc_iou_thresholds=tuple(float(v) for v in args.locacc_thresholds.split(",")),
-        locacc_positives_only=args.locacc_positives_only,
-    )
     report = evaluate(predictions, gt, cfg, class_names=classes)
     if args.out_json:
         formats.write_report_json(args.out_json, report)

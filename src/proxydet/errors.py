@@ -5,8 +5,8 @@ class ProxydetError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(ProxydetError):
-    """Invalid configuration: bad mapping, mode/label mismatch, unknown class."""
+class ConfigError(ProxydetError, ValueError):
+    """Invalid configuration: bad flag or config value, mapping, mode/label mismatch."""
 
 
 class DataError(ProxydetError):

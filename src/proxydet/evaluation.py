@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geometry import Box, iou
 from .inference import PathologyBox
 
@@ -40,9 +40,9 @@ class EvalConfig:
     def __post_init__(self):
         for t in self.iou_thresholds + self.locacc_iou_thresholds:
             if not 0.0 < t <= 1.0:
-                raise ValueError(f"IoU threshold {t} outside (0, 1]")
+                raise ConfigError(f"IoU threshold {t} outside (0, 1]")
         if not 0.0 <= self.locacc_score_threshold <= 1.0:
-            raise ValueError("locacc_score_threshold outside [0, 1]")
+            raise ConfigError("locacc_score_threshold outside [0, 1]")
 
 
 @dataclass(eq=False)

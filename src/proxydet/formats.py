@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .evaluation import EvalReport, GroundTruth, GtImage
-from .geometry import Box, corner_to_center
+from .geometry import Box, corner_to_center_batch
 from .head import PARAM_FIELDS, HeadParams, LossBreakdown, TrainSample
 from .inference import ClassMapping, MappingEntry, PathologyBox, RegionDetection
 
@@ -184,10 +184,16 @@ def _iter_jsonl(path: str | Path):
 
 
 def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
-    """Read a dataset JSONL file (header line plus one record per image)."""
+    """Read a dataset JSONL file (header line plus one record per image).
+
+    Every region's features have one length: the header's ``feature_dim``
+    or, when the header leaves it out, the first length in the file. The
+    returned header carries that length (None when no region has features).
+    """
     path = Path(path)
     header: DatasetHeader | None = None
     records: list[ImageRecord] = []
+    feature_dim, dim_source = None, ""
     for line_no, obj in _iter_jsonl(path):
         where = f"{path}:{line_no}"
         if header is None:
@@ -201,10 +207,22 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
                 )
             except KeyError as exc:
                 raise DataError(f"{where}: header missing field {exc}") from exc
+            feature_dim, dim_source = header.feature_dim, "header feature_dim"
             continue
-        records.append(_parse_image_record(obj, header, where))
+        record = _parse_image_record(obj, header, where)
+        for i, reg in enumerate(record.regions):
+            if reg.features is None:
+                continue
+            if feature_dim is None:
+                feature_dim, dim_source = len(reg.features), f"first length in the file, line {line_no}"
+            _require(
+                len(reg.features) == feature_dim,
+                f"{where}: regions[{i}]",
+                f"features length {len(reg.features)} != {feature_dim} ({dim_source})",
+            )
+        records.append(record)
     _require(header is not None, str(path), "empty file (missing header)")
-    return header, records
+    return replace(header, feature_dim=feature_dim), records
 
 
 def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
@@ -226,12 +244,6 @@ def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
         features = None
         if reg.get("features") is not None:
             features = _parse_features(reg["features"], rwhere)
-            if header.feature_dim is not None:
-                _require(
-                    features.shape[0] == header.feature_dim,
-                    rwhere,
-                    f"features length {features.shape[0]} != header feature_dim {header.feature_dim}",
-                )
         probs = None
         if reg.get("pathology_probs") is not None:
             probs = _parse_probs(reg["pathology_probs"], header.classes, rwhere)
@@ -427,10 +439,16 @@ def read_mapping(path: str | Path) -> ClassMapping:
     for eval_class, spec in obj.items():
         if not isinstance(spec, dict) or "sources" not in spec:
             raise DataError(f"{path}: entry {eval_class!r} must be an object with 'sources'")
+        sources = spec["sources"]
+        if not (isinstance(sources, list) and sources and all(isinstance(s, str) for s in sources)):
+            raise DataError(
+                f"{path}: entry {eval_class!r}: sources must be a non-empty list of class names, "
+                f"got {sources!r}"
+            )
         entries.append(
             MappingEntry(
                 eval_class=eval_class,
-                sources=tuple(spec["sources"]),
+                sources=tuple(sources),
                 combiner=spec.get("combiner", "mean"),
             )
         )
@@ -473,7 +491,7 @@ def records_to_train_samples(
         if any(reg.features is None for reg in ordered):
             raise ConfigError(f"image {rec.image_id!r}: training requires region features")
         features = np.stack([reg.features for reg in ordered])
-        boxes = np.stack([corner_to_center(reg.box).to_array() for reg in ordered])
+        boxes = corner_to_center_batch([reg.box.as_tuple() for reg in ordered])
         present = np.array([reg.presence >= 0.5 for reg in ordered])
         anatomy = None
         if rec.anatomy_labels is not None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import Box, iou, iou_matrix
 
 
@@ -53,7 +54,7 @@ class FusionConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold {self.iou_threshold} outside [0, 1]")
+            raise ConfigError(f"iou_threshold {self.iou_threshold} outside [0, 1]")
 
 
 class _RunningCluster:

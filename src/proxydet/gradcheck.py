@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import head as head_mod
+from .errors import ConfigError
 from .geometry import center_to_corner_batch
 from .losses import (
     AslParams,
@@ -48,11 +49,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return np.isfinite(self.max_rel_error) and self.max_rel_error <= self.tolerance
-
-
-def is_smooth_asl_point(p: float, params: AslParams, margin: float = _MARGIN) -> bool:
-    """True when p is safely away from the clip kink and the [0, 1] endpoints."""
-    return margin < p < 1.0 - margin and abs(p - params.clip) > margin
 
 
 # Probabilities in (clip, clip + band) make the negative-branch gradient decay
@@ -264,6 +260,8 @@ def check_head_backward(trials: int, rng: np.random.Generator, mode: str = "loc_
 
 def run_all(trials: int = 100, seed: int = 0) -> dict[str, SuiteResult]:
     """Run every gradient suite; per-suite maxima over ``trials`` random points."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     checks = {
         "asl": check_asl,
         "lse_pool": check_lse_pool,

@@ -190,9 +190,9 @@ class InferenceConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.probability_threshold <= 1.0:
-            raise ValueError("probability_threshold outside [0, 1]")
+            raise ConfigError("probability_threshold outside [0, 1]")
         if not 0.0 <= self.presence_threshold <= 1.0:
-            raise ValueError("presence_threshold outside [0, 1]")
+            raise ConfigError("presence_threshold outside [0, 1]")
 
 
 @dataclass

@@ -33,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import center_to_corner_batch, giou_batch, giou_gradient_batch
 
 logger = logging.getLogger(__name__)
@@ -61,11 +62,11 @@ class AslParams:
 
     def __post_init__(self):
         if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise ValueError("focusing exponents must be >= 0")
+            raise ConfigError("focusing exponents must be >= 0")
         if not 0.0 <= self.clip < 1.0:
-            raise ValueError("clip must lie in [0, 1)")
+            raise ConfigError("clip must lie in [0, 1)")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise ConfigError("eps must be positive")
 
 
 def asl(p, y, params: AslParams = AslParams()):
@@ -134,7 +135,7 @@ class LsePoolParams:
 
     def __post_init__(self):
         if self.r <= 0:
-            raise ValueError("pooling sharpness r must be > 0")
+            raise ConfigError("pooling sharpness r must be > 0")
 
 
 def _one_column(values) -> np.ndarray:
@@ -198,7 +199,7 @@ class DetectionLossParams:
 
     def __post_init__(self):
         if min(self.l1_weight, self.giou_weight, self.presence_weight) < 0:
-            raise ValueError("loss weights must be nonnegative")
+            raise ConfigError("loss weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -476,7 +477,7 @@ class CombinedLossWeights:
 
     def __post_init__(self):
         if self.asl_weight < 0:
-            raise ValueError("asl_weight must be >= 0")
+            raise ConfigError("asl_weight must be >= 0")
 
 
 def combined_loss(detection: float, asl_like: float, weights: CombinedLossWeights = CombinedLossWeights()) -> float:

@@ -186,6 +186,78 @@ class TestErrors:
         assert "anatomy-level labels" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A five-image dataset, a checkpoint trained on it and its predictions."""
+    root = tmp_path_factory.mktemp("small_run")
+    data, ckpt, pred = root / "d.jsonl", root / "ck.bin", root / "p.jsonl"
+    assert _run("synth", "--n-images", 5, "--seed", 1, "--out", data) == 0
+    assert _run("train", "--data", data, "--max-steps", 1, "--checkpoint-out", ckpt) == 0
+    assert _run("infer", "--data", data, "--checkpoint", ckpt, "--out", pred) == 0
+    return data, ckpt, pred
+
+
+class TestBadConfigValues:
+    """A bad flag value ends with an `error:` line and exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("synth", "--regions-per-finding", "1"),
+            ("synth", "--regions-per-finding", "1,x"),
+            ("train", "--asl-clip", 1),
+            ("train", "--asl-gamma-neg", -1),
+            ("train", "--asl-weight", -1),
+            ("train", "--lse-r", 0),
+            ("train", "--l1-weight", -1),
+            ("infer", "--tau", 2),
+            ("infer", "--wbf-iou", 2),
+            ("infer", "--presence-threshold", -0.5),
+            ("eval", "--thresholds", 0),
+            ("eval", "--thresholds", "abc"),
+            ("eval", "--locacc-thresholds", "0.1,"),
+            ("eval", "--locacc-score", 2),
+            ("gradcheck", "--trials", 0),
+        ],
+    )
+    def test_exit_code_two(self, small_run, tmp_path, capsys, command, flag, value):
+        data, ckpt, pred = small_run
+        argv = {
+            "synth": ["--out", tmp_path / "s.jsonl"],
+            "train": ["--data", data, "--max-steps", 1, "--checkpoint-out", tmp_path / "ck"],
+            "infer": ["--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl"],
+            "eval": ["--pred", pred, "--gt", data, "--out-json", tmp_path / "r.json"],
+            "gradcheck": [],
+        }[command]
+        assert _run(command, *argv, flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert not any(tmp_path.iterdir())
+
+
+class TestFeatureLength:
+    """Every region of a dataset file has one feature length."""
+
+    @pytest.mark.parametrize(
+        "lengths, where",
+        [([[3, 2]], "mixed.jsonl:2: regions[1]"), ([[3, 3], [3, 2]], "mixed.jsonl:3: regions[1]")],
+        ids=["within-a-record", "across-records"],
+    )
+    def test_mixed_lengths_without_header_dim(self, tmp_path, capsys, lengths, where):
+        data = tmp_path / "mixed.jsonl"
+        lines = [{"kind": "dataset", "version": 1, "classes": ["a"], "n_regions": 2}]
+        for i, dims in enumerate(lengths):
+            regions = [
+                {"region_id": r, "box": [0.1, 0.1, 0.5, 0.5], "features": [0.5] * d}
+                for r, d in enumerate(dims)
+            ]
+            lines.append({"image_id": f"img{i}", "regions": regions, "anatomy_labels": {"0": ["a"]}})
+        data.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+        assert _run("train", "--data", data, "--checkpoint-out", tmp_path / "ck") == 2
+        err = capsys.readouterr().err
+        assert where in err and "features length 2 != 3" in err
+
+
 class TestGradcheckCommand:
     def test_small_run_passes(self, capsys):
         assert _run("gradcheck", "--trials", 3, "--seed", 0) == 0
@@ -341,4 +413,14 @@ class TestCheckpointDatasetMismatch:
         assert code == 2
         err = capsys.readouterr().err
         assert "checkpoint classes" in err and "three.jsonl" in err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_feature_dim_must_match_the_dataset(self, five_images, tmp_path, capsys):
+        _, ckpt = five_images
+        wide = tmp_path / "wide.jsonl"
+        assert _run("synth", "--n-images", 5, "--feature-dim", 20, "--seed", 2, "--out", wide) == 0
+        code = _run("infer", "--data", wide, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "feature_dim 16" in err and "wide.jsonl" in err
         assert not (tmp_path / "p.jsonl").exists()

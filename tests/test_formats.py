@@ -171,6 +171,16 @@ class TestPredictions:
             formats.read_predictions(path)
 
 
+class TestFeatureLength:
+    def test_header_takes_the_first_length_when_it_declares_none(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        header = '{"kind":"dataset","version":1,"classes":["a"],"n_regions":1,"feature_dim":null}'
+        region = {"region_id": 0, "box": [0, 0, 1, 1], "features": [0.5, 1.0]}
+        path.write_text(header + "\n" + json.dumps({"image_id": "x", "regions": [region]}) + "\n")
+        header, _ = formats.read_dataset(path)
+        assert header.feature_dim == 2
+
+
 class TestMapping:
     def test_read(self, tmp_path):
         path = tmp_path / "map.json"
@@ -197,6 +207,15 @@ class TestMapping:
         path = tmp_path / "map.json"
         path.write_text("{}")
         with pytest.raises(DataError):
+            formats.read_mapping(path)
+
+    @pytest.mark.parametrize(
+        "sources", [5, "finding_0", [], ["a", 1]], ids=["number", "string", "empty", "non-string"]
+    )
+    def test_sources_must_be_a_list_of_names(self, tmp_path, sources):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"x": {"sources": sources}}))
+        with pytest.raises(DataError, match=r"map\.json: entry 'x': sources must be a non-empty list"):
             formats.read_mapping(path)
 
 
