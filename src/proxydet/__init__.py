@@ -10,7 +10,7 @@ benchmark.
 from .errors import ConfigError, DataError, ProxydetError, TrainingError
 from .evaluation import EvalConfig, EvalReport, GroundTruth, GtImage, evaluate
 from .fusion import FusionConfig, ScoredBox, weighted_box_fusion
-from .geometry import Box, CenterBox, center_to_corner, corner_to_center, giou, giou_gradient, iou
+from .geometry import Box, iou
 from .head import AdamW, HeadParams, TrainConfig, TrainSample, forward, init_head_params, train
 from .inference import (
     ClassMapping,
@@ -44,7 +44,6 @@ __all__ = [
     "AdamW",
     "AslParams",
     "Box",
-    "CenterBox",
     "ClassMapping",
     "CombinedLossWeights",
     "ConfigError",
@@ -71,17 +70,13 @@ __all__ = [
     "apply_class_mapping",
     "asl",
     "asl_grad",
-    "center_to_corner",
     "combined_loss",
-    "corner_to_center",
     "detect_pathologies",
     "evaluate",
     "finite_difference_check",
     "fixed_match_detection_loss",
     "forward",
     "generate_dataset",
-    "giou",
-    "giou_gradient",
     "init_head_params",
     "iou",
     "loc_loss",

@@ -69,6 +69,11 @@ def _add_synth(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # one generated list is split between the two files, so each part needs a valid size
+    if args.n_images < 1 or args.holdout < 0:
+        raise ConfigError(
+            f"need --n-images >= 1 and --holdout >= 0, got {args.n_images} and {args.holdout}"
+        )
     if args.holdout > 0 and not args.holdout_out:
         raise ConfigError("--holdout requires --holdout-out")
     cfg = SynthConfig(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +194,7 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
     header: DatasetHeader | None = None
     records: list[ImageRecord] = []
     feature_dim, dim_source = None, ""
+    first_line: dict[str, int] = {}
     for line_no, obj in _iter_jsonl(path):
         where = f"{path}:{line_no}"
         if header is None:
@@ -210,6 +211,10 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
             feature_dim, dim_source = header.feature_dim, "header feature_dim"
             continue
         record = _parse_image_record(obj, header, where)
+        first = first_line.setdefault(record.image_id, line_no)
+        _require(
+            first == line_no, where, f"duplicate image id {record.image_id!r} (first at line {first})"
+        )
         for i, reg in enumerate(record.regions):
             if reg.features is None:
                 continue
@@ -665,35 +670,14 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
 # history and reports
 # ---------------------------------------------------------------------------
 
-_HISTORY_COLUMNS = (
-    "step",
-    "total",
-    "detection",
-    "presence_bce",
-    "l1",
-    "giou_penalty",
-    "loc_asl",
-    "mil_asl",
-)
-
-
 def write_history_csv(path: str | Path, history: list[tuple[int, LossBreakdown]]) -> None:
+    """One row per training step: ``step`` then every :class:`LossBreakdown` field in order."""
+    columns = [f.name for f in fields(LossBreakdown)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_HISTORY_COLUMNS) + "\n")
+        fh.write(",".join(["step", *columns]) + "\n")
         for step, row in history:
-            fields = [str(step)] + [
-                format(v, ".17g")
-                for v in (
-                    row.total,
-                    row.detection,
-                    row.presence_bce,
-                    row.l1,
-                    row.giou_penalty,
-                    row.loc_asl,
-                    row.mil_asl,
-                )
-            ]
-            fh.write(",".join(fields) + "\n")
+            values = [format(getattr(row, name), ".17g") for name in columns]
+            fh.write(",".join([str(step), *values]) + "\n")
 
 
 def _thr_key(t: float) -> str:

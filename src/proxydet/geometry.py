@@ -1,4 +1,4 @@
-"""Axis-aligned boxes in normalized image coordinates, IoU/GIoU, and GIoU gradients.
+"""Axis-aligned boxes in normalized image coordinates: IoU, GIoU and its gradient.
 
 All geometry lives on the unit square: corners in [0, 1], x to the right,
 y downward, (x1, y1) the top-left corner. Everything is double precision
@@ -6,13 +6,13 @@ with no epsilon fuzz inside IoU itself; degenerate inputs follow explicit
 rules instead (zero-union IoU is 0, GIoU of two zero-area boxes is an
 error).
 
-Scalar functions operate on :class:`Box` / :class:`CenterBox`; the
-``*_batch`` variants operate on ``(N, 4)`` float arrays and are what the
-vectorized loss code uses. ``iou`` and ``giou`` are scalar
-implementations of their own, cross-checked against the batch forms in
-the test suite; ``giou_gradient`` is the batch gradient applied to one
-row, and the test suite checks the batch gradient against a per-column
-reference instead.
+:class:`Box` is the corner box that files, fusion and the metrics pass
+around. GIoU, its gradient and the center/size <-> corner conversions
+exist only as ``*_batch`` functions on ``(N, 4)`` float arrays, the form
+the loss code, gradcheck and the file converters use. IoU has two forms
+on purpose: scalar :func:`iou` scores one pair at a time (merged clusters
+in fusion, matching in evaluation) and :func:`iou_matrix` builds fusion's
+pairwise table; the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -57,50 +57,6 @@ class Box:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "Box":
-        x1, y1, x2, y2 = (float(v) for v in arr)
-        return cls(x1, y1, x2, y2)
-
-
-@dataclass(frozen=True)
-class CenterBox:
-    """Center/size parametrization (cx, cy, w, h), each component in [0, 1].
-
-    This is the box-head output format: an elementwise squashing activation
-    cannot guarantee corner ordering, but center/size always converts to a
-    valid corner box (after clamping corners to the unit square).
-    """
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "cx", float(self.cx))
-        object.__setattr__(self, "cy", float(self.cy))
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "h", float(self.h))
-        for name in ("cx", "cy", "w", "h"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"CenterBox field {name}={v} outside [0, 1]")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.cx, self.cy, self.w, self.h)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "CenterBox":
-        cx, cy, w, h = (float(v) for v in arr)
-        return cls(cx, cy, w, h)
-
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes.
@@ -133,38 +89,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-
-
-def giou(a: Box, b: Box) -> float:
-    """Generalized IoU: ``iou - (|C| - |A u B|) / |C|`` with C the enclosing box.
-
-    Ranges in (-1, 1]; equals IoU when the enclosing box is exactly the
-    union. Requires at least one box with positive area.
-    """
-    if a.area == 0.0 and b.area == 0.0:
-        raise DegenerateBoxPairError("GIoU undefined: both boxes have zero area")
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(0.0, ix) * max(0.0, iy)
-    union = a.area + b.area - inter
-    cw = max(a.x2, b.x2) - min(a.x1, b.x1)
-    ch = max(a.y2, b.y2) - min(a.y1, b.y1)
-    enclosing = cw * ch
-    return inter / union - (enclosing - union) / enclosing
-
-
-def giou_gradient(a: Box, b: Box) -> tuple[np.ndarray, bool]:
-    """Gradient of ``giou(a, b)`` with respect to a's four corner coordinates.
-
-    Returns ``(grad, nonsmooth)`` where ``grad`` is the 4-vector
-    ``d giou / d (x1, y1, x2, y2)`` and ``nonsmooth`` flags configurations
-    where GIoU is not differentiable (coincident edges or exactly touching
-    boxes). At flagged points the returned vector is a one-sided
-    subgradient with ties resolved as if a's coordinate were the active
-    one in every min/max.
-    """
-    grads, mask = giou_gradient_batch(a.to_array()[None, :], b.to_array()[None, :])
-    return grads[0], bool(mask[0])
 
 
 def _coordinate_rows(a: np.ndarray) -> np.ndarray:
@@ -256,31 +180,12 @@ def giou_gradient_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return grads.T, tied | touching
 
 
-def center_to_corner(c: CenterBox) -> Box:
-    """Convert center/size to a corner box, clamping corners to [0, 1].
-
-    Exact inverse of :func:`corner_to_center` for boxes entirely inside
-    the unit square; boxes poking outside are clipped.
-    """
-    x1 = min(max(c.cx - c.w / 2.0, 0.0), 1.0)
-    y1 = min(max(c.cy - c.h / 2.0, 0.0), 1.0)
-    x2 = min(max(c.cx + c.w / 2.0, 0.0), 1.0)
-    y2 = min(max(c.cy + c.h / 2.0, 0.0), 1.0)
-    return Box(x1, y1, x2, y2)
-
-
-def corner_to_center(b: Box) -> CenterBox:
-    """Convert a corner box to center/size parametrization (always exact)."""
-    return CenterBox(
-        (b.x1 + b.x2) / 2.0,
-        (b.y1 + b.y2) / 2.0,
-        b.x2 - b.x1,
-        b.y2 - b.y1,
-    )
-
-
 def center_to_corner_batch(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized center/size -> clamped corners for ``(..., 4)`` arrays.
+
+    The box head predicts center/size because any ``w, h >= 0`` gives
+    ordered corners, which an elementwise activation on corners cannot
+    guarantee.
 
     Returns ``(corners, passthrough)`` where ``passthrough`` marks corner
     coordinates strictly inside (0, 1) before clamping — exactly the

@@ -45,9 +45,6 @@ from .inference import RegionDetection
 
 TRAIN_MODES = ("loc", "mil", "loc_mil")
 
-# Reference decoder widths for full-scale runs; desk-scale training takes
-# the dimension from the dataset instead.
-DEFAULT_FEATURE_DIM = {"loc": 512, "mil": 256, "loc_mil": 512}
 DEFAULT_LEARNING_RATE = {"loc": 3e-5, "mil": 1e-4, "loc_mil": 3e-5}
 DEFAULT_WEIGHT_DECAY = {"loc": 1e-5, "mil": 1e-4, "loc_mil": 1e-5}
 

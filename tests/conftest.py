@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from proxydet.geometry import Box, CenterBox
+from proxydet.geometry import Box
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -20,7 +20,8 @@ def boxes(draw, min_size: float = 0.0):
 
 @st.composite
 def center_boxes(draw):
-    return CenterBox(draw(unit), draw(unit), draw(unit), draw(unit))
+    """A center/size tuple (cx, cy, w, h), each component in [0, 1]."""
+    return (draw(unit), draw(unit), draw(unit), draw(unit))
 
 
 # IoU and probability thresholds the exactness tests sweep

@@ -4,8 +4,9 @@ Everything here is deliberately written from first principles (pixel
 counting, exhaustive enumeration, rank statistics) so it stays
 independent of the library code it checks. The fusion, class-mapping and
 candidate references are the sequential definitions the array code in
-``proxydet`` must reproduce bit for bit, as are the per-column GIoU
-gradient and the array-by-array training loop.
+``proxydet`` must reproduce bit for bit, as are the per-pair GIoU and
+center/size conversion, the per-column GIoU gradient and the
+array-by-array training loop.
 """
 
 from __future__ import annotations
@@ -83,6 +84,22 @@ def iou_ref(a: Box, b: Box) -> float:
     inter = max(0.0, iw) * max(0.0, ih)
     union = a.area + b.area - inter
     return inter / union if union > 0 else 0.0
+
+
+def giou_ref(a: Box, b: Box) -> float:
+    """Straight-line GIoU of one pair: IoU minus the enclosing box's empty share."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = max(0.0, ix) * max(0.0, iy)
+    union = a.area + b.area - inter
+    enclosing = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+    return inter / union - (enclosing - union) / enclosing
+
+
+def center_to_corner_ref(cx: float, cy: float, w: float, h: float) -> Box:
+    """One center/size box as corners, each clamped to [0, 1]."""
+    clamp = lambda v: min(max(v, 0.0), 1.0)
+    return Box(clamp(cx - w / 2.0), clamp(cy - h / 2.0), clamp(cx + w / 2.0), clamp(cy + h / 2.0))
 
 
 def ap_oracle(

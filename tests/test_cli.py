@@ -43,6 +43,12 @@ class TestSynthCommand:
         assert code == 2
         assert "holdout" in capsys.readouterr().err
 
+    def test_training_split_must_not_be_empty(self, tmp_path, capsys):
+        args = ["--holdout", 3, "--holdout-out", tmp_path / "h.jsonl", "--out", tmp_path / "t.jsonl"]
+        assert _run("synth", "--n-images", -1, *args) == 2
+        assert "--n-images" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestFullPipeline:
     def test_round_trip_and_determinism(self, pipeline_files, tmp_path):
@@ -205,6 +211,7 @@ class TestBadConfigValues:
         [
             ("synth", "--regions-per-finding", "1"),
             ("synth", "--regions-per-finding", "1,x"),
+            ("synth", "--holdout", -2),
             ("train", "--asl-clip", 1),
             ("train", "--asl-gamma-neg", -1),
             ("train", "--asl-weight", -1),
@@ -256,6 +263,16 @@ class TestFeatureLength:
         assert _run("train", "--data", data, "--checkpoint-out", tmp_path / "ck") == 2
         err = capsys.readouterr().err
         assert where in err and "features length 2 != 3" in err
+
+
+class TestDuplicateImageId:
+    def test_train_rejects_a_repeated_record(self, small_run, tmp_path, capsys):
+        data = tmp_path / "dup.jsonl"
+        lines = small_run[0].read_text().splitlines()
+        data.write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n")
+        assert _run("train", "--data", data, "--checkpoint-out", tmp_path / "ck") == 2
+        err = capsys.readouterr().err
+        assert "dup.jsonl:4: duplicate image id 'img_00001' (first at line 3)" in err
 
 
 class TestGradcheckCommand:

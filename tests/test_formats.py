@@ -138,6 +138,14 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="image_labels"):
             formats.read_dataset(path)
 
+    def test_duplicate_image_rejected(self, tmp_path):
+        _, _, _, path = _sample_dataset(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        message = r"data\.jsonl:8: duplicate image id 'img_00001' \(first at line 3\)"
+        with pytest.raises(DataError, match=message):
+            formats.read_dataset(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -4,22 +4,39 @@ import pytest
 from hypothesis import given
 
 from conftest import any_box, boxes, center_boxes
-from helpers import giou_gradient_ref, grid_box, random_box, raster_giou, raster_iou
+from helpers import (
+    center_to_corner_ref,
+    giou_gradient_ref,
+    giou_ref,
+    grid_box,
+    random_box,
+    raster_giou,
+    raster_iou,
+)
 
 from proxydet.geometry import (
     Box,
-    CenterBox,
     DegenerateBoxPairError,
-    center_to_corner,
     center_to_corner_batch,
-    corner_to_center,
-    giou,
+    corner_to_center_batch,
     giou_batch,
-    giou_gradient,
     giou_gradient_batch,
     iou,
     iou_matrix,
 )
+
+
+def _rows(boxes) -> np.ndarray:
+    """Corner boxes as an ``(N, 4)`` array."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64)
+
+
+def _pair_rows(pairs) -> tuple[np.ndarray, np.ndarray]:
+    return _rows(a for a, _ in pairs), _rows(b for _, b in pairs)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
 
 
 class TestBoxConstruction:
@@ -102,55 +119,55 @@ class TestIou:
 
 class TestGiou:
     def test_identity(self):
-        b = Box(0.2, 0.2, 0.6, 0.7)
-        assert giou(b, b) == pytest.approx(1.0, abs=1e-15)
+        b = _rows([Box(0.2, 0.2, 0.6, 0.7)])
+        assert giou_batch(b, b)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_quarter_overlap(self):
         # 1/7 - 0.125/0.5625
         expected = -0.079365079365079365
-        got = giou(Box(0, 0, 0.5, 0.5), Box(0.25, 0.25, 0.75, 0.75))
-        assert got == pytest.approx(expected, abs=1e-12)
+        got = giou_batch(_rows([Box(0, 0, 0.5, 0.5)]), _rows([Box(0.25, 0.25, 0.75, 0.75)]))
+        assert got[0] == pytest.approx(expected, abs=1e-12)
 
     def test_far_corners(self):
-        got = giou(Box(0, 0, 0.1, 0.1), Box(0.9, 0.9, 1, 1))
-        assert got == pytest.approx(-0.98, abs=1e-12)
+        got = giou_batch(_rows([Box(0, 0, 0.1, 0.1)]), _rows([Box(0.9, 0.9, 1, 1)]))
+        assert got[0] == pytest.approx(-0.98, abs=1e-12)
 
     def test_degenerate_pair_raises(self):
-        a = Box(0.5, 0.5, 0.5, 0.5)
+        # one zero-area pair anywhere in the batch is enough
+        a = _rows([Box(0.1, 0.1, 0.4, 0.4), Box(0.5, 0.5, 0.5, 0.5)])
         with pytest.raises(DegenerateBoxPairError):
-            giou(a, a)
+            giou_batch(a, a)
+        with pytest.raises(DegenerateBoxPairError):
+            giou_gradient_batch(a, a)
 
     def test_matches_raster_oracle_on_grid_boxes(self):
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            a, b = grid_box(rng, res=200), grid_box(rng, res=200)
-            assert giou(a, b) == pytest.approx(raster_giou(a, b, res=200), abs=1e-12)
+        pairs = [(grid_box(rng, res=200), grid_box(rng, res=200)) for _ in range(100)]
+        got = giou_batch(*_pair_rows(pairs))
+        for g, (a, b) in zip(got, pairs):
+            assert g == pytest.approx(raster_giou(a, b, res=200), abs=1e-12)
 
     @given(boxes(min_size=1e-3), boxes(min_size=1e-3))
     def test_bounds_and_relation_to_iou(self, a, b):
-        g = giou(a, b)
+        g, swapped = giou_batch(_rows([a, b]), _rows([b, a]))
         assert -1.0 < g <= 1.0 + 1e-15
         assert g <= iou(a, b) + 1e-15
-        assert g == pytest.approx(giou(b, a), abs=1e-15)
+        assert g == pytest.approx(swapped, abs=1e-15)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         pairs = [(random_box(rng, 0.01), random_box(rng, 0.01)) for _ in range(200)]
-        a = np.stack([p[0].to_array() for p in pairs])
-        b = np.stack([p[1].to_array() for p in pairs])
-        batch = giou_batch(a, b)
-        for i, (ba, bb) in enumerate(pairs):
-            assert batch[i] == pytest.approx(giou(ba, bb), abs=1e-15)
+        batch = giou_batch(*_pair_rows(pairs))
+        assert batch.tolist() == [giou_ref(a, b) for a, b in pairs]
 
 
-def _fd_giou(a: Box, b: Box, h: float = 1e-5) -> np.ndarray:
-    out = np.empty(4)
+def _fd_giou(a: np.ndarray, b: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central differences of ``giou_batch`` in each corner coordinate of a's rows."""
+    out = np.empty_like(a)
     for i in range(4):
-        hi = list(a.as_tuple())
-        lo = list(a.as_tuple())
-        hi[i] += h
-        lo[i] -= h
-        out[i] = (giou(Box(*hi), b) - giou(Box(*lo), b)) / (2 * h)
+        step = np.zeros(4)
+        step[i] = h
+        out[:, i] = (giou_batch(a + step, b) - giou_batch(a - step, b)) / (2 * h)
     return out
 
 
@@ -173,50 +190,44 @@ def _smooth_interior_pair(rng, margin=1e-3):
 
 class TestGiouGradient:
     def test_coincident_boxes_flagged_and_finite(self):
-        b = Box(0.2, 0.3, 0.6, 0.8)
-        grad, nonsmooth = giou_gradient(b, b)
-        assert nonsmooth
-        assert np.all(np.isfinite(grad))
+        b = _rows([Box(0.2, 0.3, 0.6, 0.8)])
+        grads, nonsmooth = giou_gradient_batch(b, b)
+        assert nonsmooth.tolist() == [True]
+        assert np.all(np.isfinite(grads))
 
     def test_disjoint_pair_has_enclosing_term_only(self):
         # non-touching boxes: the intersection is identically zero nearby,
         # so the gradient comes from the union-area and enclosing-box terms
-        a = Box(0.1, 0.1, 0.3, 0.3)
-        b = Box(0.6, 0.6, 0.9, 0.9)
-        grad, nonsmooth = giou_gradient(a, b)
-        assert not nonsmooth
-        assert np.allclose(grad, _fd_giou(a, b), rtol=1e-4, atol=1e-8)
+        a = _rows([Box(0.1, 0.1, 0.3, 0.3)])
+        b = _rows([Box(0.6, 0.6, 0.9, 0.9)])
+        grads, nonsmooth = giou_gradient_batch(a, b)
+        assert nonsmooth.tolist() == [False]
+        assert np.allclose(grads, _fd_giou(a, b), rtol=1e-4, atol=1e-8)
 
     def test_matches_finite_differences_on_100_smooth_pairs(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            a, b = _smooth_interior_pair(rng)
-            grad, nonsmooth = giou_gradient(a, b)
-            assert not nonsmooth
-            numeric = _fd_giou(a, b)
-            denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-12)
-            assert np.max(np.abs(grad - numeric) / denom) <= 1e-4
+        a, b = _pair_rows([_smooth_interior_pair(rng) for _ in range(100)])
+        grads, nonsmooth = giou_gradient_batch(a, b)
+        assert not nonsmooth.any()
+        numeric = _fd_giou(a, b)
+        denom = np.maximum(np.maximum(np.abs(grads), np.abs(numeric)), 1e-12)
+        assert np.max(np.abs(grads - numeric) / denom) <= 1e-4
 
     def test_touching_boxes_flagged(self):
-        a = Box(0.1, 0.1, 0.5, 0.5)
-        b = Box(0.5, 0.1, 0.9, 0.5)
-        _, nonsmooth = giou_gradient(a, b)
-        assert nonsmooth
+        a = _rows([Box(0.1, 0.1, 0.5, 0.5)])
+        b = _rows([Box(0.5, 0.1, 0.9, 0.5)])
+        _, nonsmooth = giou_gradient_batch(a, b)
+        assert nonsmooth.tolist() == [True]
 
     def test_batch_matches_scalar(self):
+        """Each row of a batch equals the gradient of its pair computed alone."""
         rng = np.random.default_rng(5)
-        pairs = [_smooth_interior_pair(rng) for _ in range(50)]
-        a = np.stack([p[0].to_array() for p in pairs])
-        b = np.stack([p[1].to_array() for p in pairs])
+        a, b = _pair_rows([_smooth_interior_pair(rng) for _ in range(50)])
         grads, mask = giou_gradient_batch(a, b)
         assert not mask.any()
-        for i, (ba, bb) in enumerate(pairs):
-            scalar, _ = giou_gradient(ba, bb)
-            assert np.allclose(grads[i], scalar, atol=1e-15)
-
-
-def _bits(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a).tobytes()
+        for i in range(len(a)):
+            alone, _ = giou_gradient_batch(a[i : i + 1], b[i : i + 1])
+            assert _bits(alone[0]) == _bits(grads[i])
 
 
 class TestGiouGradientMatchesColumnReference:
@@ -236,8 +247,7 @@ class TestGiouGradientMatchesColumnReference:
         if edge is not None:
             pinned = Box(0.0, 0.0, 1.0, 0.5) if edge == 0.0 else Box(0.5, 0.5, 1.0, 1.0)
             pairs.append((pinned, Box(0.25, 0.25, 0.75, 1.0)))
-        a = np.stack([p[0].to_array() for p in pairs])
-        b = np.stack([p[1].to_array() for p in pairs])
+        a, b = _pair_rows(pairs)
         grads, nonsmooth = giou_gradient_batch(a, b)
         ref_grads, ref_nonsmooth = giou_gradient_ref(a, b)
         assert grads.shape == a.shape
@@ -261,43 +271,38 @@ class TestGiouGradientMatchesColumnReference:
 
 class TestCenterCorner:
     def test_full_frame(self):
-        assert center_to_corner(CenterBox(0.5, 0.5, 1, 1)) == Box(0, 0, 1, 1)
+        corners, passthrough = center_to_corner_batch([0.5, 0.5, 1.0, 1.0])
+        assert corners.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert not passthrough.any()
 
     def test_zero_area_at_center(self):
-        got = center_to_corner(CenterBox(0.5, 0.5, 0, 0))
-        assert got == Box(0.5, 0.5, 0.5, 0.5)
-        assert got.area == 0.0
+        corners, _ = center_to_corner_batch([0.5, 0.5, 0.0, 0.0])
+        assert corners.tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert Box(*corners).area == 0.0
 
     def test_clamping(self):
-        got = center_to_corner(CenterBox(0.1, 0.1, 0.4, 0.4))
-        assert (got.x1, got.y1) == (0.0, 0.0)
-        assert got.x2 == pytest.approx(0.3, abs=1e-15)
-        assert got.y2 == pytest.approx(0.3, abs=1e-15)
+        corners, passthrough = center_to_corner_batch([0.1, 0.1, 0.4, 0.4])
+        assert corners[:2].tolist() == [0.0, 0.0]
+        assert corners[2:] == pytest.approx([0.3, 0.3], abs=1e-15)
+        assert passthrough.tolist() == [False, False, True, True]
 
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            CenterBox(1.2, 0.5, 0.1, 0.1)
+    @given(st.lists(center_boxes(), min_size=1, max_size=20))
+    def test_conversion_always_valid(self, cs):
+        corners, _ = center_to_corner_batch(np.array(cs))
+        for row in corners:
+            Box(*row)  # the constructor validates the corners
 
-    @given(center_boxes())
-    def test_conversion_always_valid(self, c):
-        center_to_corner(c)  # Box constructor validates
-
-    @given(boxes())
-    def test_corner_roundtrip_exact(self, b):
-        c = corner_to_center(b)
-        back = center_to_corner(c)
+    @given(st.lists(boxes(), min_size=1, max_size=20))
+    def test_corner_roundtrip_exact(self, bs):
+        corners = _rows(bs)
+        back, _ = center_to_corner_batch(corner_to_center_batch(corners))
         # interior boxes round-trip exactly up to the arithmetic of /2
-        assert back.x1 == pytest.approx(b.x1, abs=1e-15)
-        assert back.y1 == pytest.approx(b.y1, abs=1e-15)
-        assert back.x2 == pytest.approx(b.x2, abs=1e-15)
-        assert back.y2 == pytest.approx(b.y2, abs=1e-15)
+        assert np.abs(back - corners).max() <= 1e-15
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(9)
         cs = rng.uniform(0, 1, size=(100, 4))
         corners, passthrough = center_to_corner_batch(cs)
-        for i in range(100):
-            scalar = center_to_corner(CenterBox.from_array(cs[i]))
-            assert np.allclose(corners[i], scalar.to_array(), atol=1e-15)
+        assert [Box(*row) for row in corners] == [center_to_corner_ref(*row) for row in cs]
         raw_x1 = cs[:, 0] - cs[:, 2] / 2
         assert np.array_equal(passthrough[:, 0], (raw_x1 > 0) & (raw_x1 < 1))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import AdamWRef, auroc, train_ref
+from helpers import AdamWRef, auroc, center_to_corner_ref, train_ref
 
 from proxydet.errors import ConfigError, TrainingError
-from proxydet.geometry import CenterBox, center_to_corner
 from proxydet.head import (
     AdamW,
     Batch,
@@ -119,7 +118,7 @@ class TestForward:
         p = _params(d=5, c=2, seed=seed)
         x = rng.normal(size=(r, 5)) * 3.0
         out = forward(x, p)
-        boxes = [center_to_corner(CenterBox.from_array(row)) for row in out.boxes]
+        boxes = [center_to_corner_ref(*row) for row in out.boxes]
         dets = predict_regions(x, p)
         assert [d.box for d in dets] == boxes
         assert [d.presence for d in dets] == out.presence.tolist()
