@@ -17,7 +17,7 @@ from .inference import (
     InferenceConfig,
     MappingEntry,
     PathologyBox,
-    RegionDetection,
+    RegionDetections,
     apply_class_mapping,
     detect_pathologies,
 )
@@ -60,7 +60,7 @@ __all__ = [
     "MappingEntry",
     "PathologyBox",
     "ProxydetError",
-    "RegionDetection",
+    "RegionDetections",
     "ScoredBox",
     "SynthConfig",
     "SynthScene",

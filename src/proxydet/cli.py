@@ -223,7 +223,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         else:
             detections = formats.record_to_detections(rec, header)
         if mapping is not None:
-            detections = [apply_class_mapping(d, mapping) for d in detections]
+            detections = apply_class_mapping(detections, mapping)
         predictions[rec.image_id] = detect_pathologies(detections, cfg, diagnostics)
     formats.write_predictions(args.out, out_classes, predictions)
     return 0

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError
 from .evaluation import EvalReport, GroundTruth, GtImage
 from .geometry import Box, corner_to_center_batch
 from .head import PARAM_FIELDS, HeadParams, LossBreakdown, TrainSample
-from .inference import ClassMapping, MappingEntry, PathologyBox, RegionDetection
+from .inference import ClassMapping, MappingEntry, PathologyBox, RegionDetections
 
 FORMAT_VERSION = 1
 _CHECKPOINT_MAGIC = b"proxydet-checkpoint-v1\n"
@@ -143,6 +143,19 @@ def _parse_number(value, where: str, field: str) -> float:
         raise DataError(f"{where}: {field} must be a number, got {value!r}") from exc
 
 
+def _parse_count(value, where: str, field: str, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DataError(f"{where}: {field} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _parse_classes(value, where: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(name, str) for name in value)):
+        raise DataError(f"{where}: classes must be a list of strings, got {value!r}")
+    _require(len(set(value)) == len(value), where, "duplicate class names in header")
+    return tuple(value)
+
+
 def _parse_features(value, where: str) -> np.ndarray:
     try:
         features = np.asarray([float(v) for v in value], dtype=np.float64)
@@ -201,10 +214,11 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
             _require(obj.get("kind") == "dataset", where, "first record must be a dataset header")
             _require(obj.get("version") == FORMAT_VERSION, where, "unsupported format version")
             try:
+                dim = obj.get("feature_dim")
                 header = DatasetHeader(
-                    classes=tuple(obj["classes"]),
-                    n_regions=int(obj["n_regions"]),
-                    feature_dim=None if obj.get("feature_dim") is None else int(obj["feature_dim"]),
+                    classes=_parse_classes(obj["classes"], where),
+                    n_regions=_parse_count(obj["n_regions"], where, "n_regions", 0),
+                    feature_dim=None if dim is None else _parse_count(dim, where, "feature_dim", 1),
                 )
             except KeyError as exc:
                 raise DataError(f"{where}: header missing field {exc}") from exc
@@ -398,8 +412,7 @@ def read_predictions(path: str | Path) -> tuple[list[str], dict[str, list[Pathol
         if classes is None:
             _require(obj.get("kind") == "predictions", where, "first record must be a predictions header")
             _require(obj.get("version") == FORMAT_VERSION, where, "unsupported format version")
-            _require(isinstance(obj.get("classes"), list), where, "header must list the classes")
-            classes = obj["classes"]
+            classes = list(_parse_classes(obj.get("classes"), where))
             index = {name: i for i, name in enumerate(classes)}
             continue
         _require("image_id" in obj, where, "missing image_id")
@@ -525,24 +538,20 @@ def records_to_train_samples(
     return samples
 
 
-def record_to_detections(rec: ImageRecord, header: DatasetHeader) -> list[RegionDetection]:
-    """Turn a record's stored probabilities into region detections (no model)."""
-    detections = []
+def record_to_detections(rec: ImageRecord, header: DatasetHeader) -> RegionDetections:
+    """Stack a record's stored boxes, presence and probabilities in file order (no model)."""
     for reg in rec.regions:
         if reg.pathology_probs is None:
             raise ConfigError(
                 f"image {rec.image_id!r}: region {reg.region_id} has no pathology_probs; "
                 "provide a checkpoint or store probabilities in the dataset"
             )
-        detections.append(
-            RegionDetection(
-                region_id=reg.region_id,
-                box=reg.box,
-                presence=reg.presence,
-                pathology_probs=reg.pathology_probs,
-            )
-        )
-    return detections
+    n, c = len(rec.regions), len(header.classes)
+    return RegionDetections(
+        np.array([reg.box.as_tuple() for reg in rec.regions]).reshape(n, 4),
+        np.array([reg.presence for reg in rec.regions]),
+        np.array([reg.pathology_probs for reg in rec.regions]).reshape(n, c),
+    )
 
 
 def ground_truth_from_records(

@@ -40,8 +40,8 @@ from .losses import (
     mil_terms,
     region_targets,
 )
-from .geometry import Box, center_to_corner_batch
-from .inference import RegionDetection
+from .geometry import center_to_corner_batch
+from .inference import RegionDetections
 
 TRAIN_MODES = ("loc", "mil", "loc_mil")
 
@@ -91,9 +91,6 @@ class HeadParams:
     @classmethod
     def from_dict(cls, arrays: dict[str, np.ndarray]) -> "HeadParams":
         return cls(**{name: np.asarray(arrays[name], dtype=np.float64) for name in PARAM_FIELDS})
-
-    def copy(self) -> "HeadParams":
-        return HeadParams.from_dict({k: v.copy() for k, v in self.to_dict().items()})
 
     def flat(self) -> np.ndarray:
         return np.concatenate([getattr(self, n).ravel() for n in PARAM_FIELDS])
@@ -206,25 +203,15 @@ def forward(features: np.ndarray, params: HeadParams) -> ForwardOutput:
     return ForwardOutput(cache["p_pres"], cache["boxes"], cache["p_path"])
 
 
-def predict_regions(features: np.ndarray, params: HeadParams) -> list[RegionDetection]:
-    """Run the heads on one image's features and package region detections.
+def predict_regions(features: np.ndarray, params: HeadParams) -> RegionDetections:
+    """Run the heads on one image's features and package its region detections.
 
-    The region box is the predicted center/size box converted to corner
-    form; the region id is the row index (the fixed token-to-region
-    assignment).
+    Row ``i`` is region ``i`` (the fixed token-to-region assignment); its
+    box is the predicted center/size box converted to corner form.
     """
     out = forward(features, params)
     corners, _ = center_to_corner_batch(out.boxes)
-    presence = out.presence.tolist()
-    return [
-        RegionDetection(
-            region_id=i,
-            box=Box(*row),
-            presence=presence[i],
-            pathology_probs=out.pathology_probs[i],
-        )
-        for i, row in enumerate(corners.tolist())
-    ]
+    return RegionDetections(corners, out.presence, out.pathology_probs)
 
 
 def _forward_cache(x: np.ndarray, params: HeadParams) -> dict[str, np.ndarray]:

@@ -23,7 +23,7 @@ thresholding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,21 +34,22 @@ from .geometry import Box
 COMBINERS = ("mean", "max")
 
 
-@dataclass(eq=False)
-class RegionDetection:
-    """One anatomical region's box, presence score, and class probabilities."""
+@dataclass(frozen=True, eq=False)
+class RegionDetections:
+    """One image's region detections: row ``i`` is region ``i``'s box, presence and probabilities."""
 
-    region_id: int
-    box: Box
-    presence: float
-    pathology_probs: np.ndarray  # (C,) in [0, 1]
+    boxes: np.ndarray  # (R, 4) corners
+    presence: np.ndarray  # (R,) in [0, 1]
+    pathology_probs: np.ndarray  # (R, C) in [0, 1]
 
     def __post_init__(self):
-        self.pathology_probs = np.asarray(self.pathology_probs, dtype=np.float64)
-        if self.pathology_probs.ndim != 1:
-            raise ValueError("pathology_probs must be a vector")
-        if not 0.0 <= self.presence <= 1.0:
-            raise ValueError(f"presence {self.presence} outside [0, 1]")
+        for name in ("boxes", "presence", "pathology_probs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        n = len(self.presence) if self.presence.ndim == 1 else -1
+        if self.boxes.shape != (n, 4) or self.pathology_probs.ndim != 2 or len(self.pathology_probs) != n:
+            raise ValueError("need (R, 4) boxes, (R,) presence and (R, C) pathology_probs")
+        if not ((self.presence >= 0.0) & (self.presence <= 1.0)).all():
+            raise ValueError("presence outside [0, 1]")
         if ((self.pathology_probs < 0.0) | (self.pathology_probs > 1.0)).any():
             raise ValueError("pathology probabilities outside [0, 1]")
 
@@ -100,78 +101,52 @@ class ClassMapping:
     def resolve(self, train_classes: list[str]) -> "ResolvedMapping":
         """Bind source-class names to indices in the training vocabulary."""
         index = {name: i for i, name in enumerate(train_classes)}
-        by_length: dict[int, list[int]] = {}
-        for i, entry in enumerate(self.entries):
+        for entry in self.entries:
             unknown = [s for s in entry.sources if s not in index]
             if unknown:
                 raise ConfigError(
                     f"mapping for {entry.eval_class!r} references unknown training "
                     f"class(es): {unknown}"
                 )
-            by_length.setdefault(len(entry.sources), []).append(i)
-        groups = tuple(
-            _SourceGroup(
-                entries=np.array(members),
-                sources=np.array([[index[s] for s in self.entries[i].sources] for i in members]),
-                is_mean=np.array([self.entries[i].combiner == "mean" for i in members]),
-            )
-            for members in by_length.values()
+        return ResolvedMapping(
+            self, tuple(np.array([index[s] for s in e.sources]) for e in self.entries)
         )
-        return ResolvedMapping(self, groups)
-
-
-@dataclass(frozen=True, eq=False)
-class _SourceGroup:
-    """The mapping entries that have the same number of source classes."""
-
-    entries: np.ndarray  # (n,) evaluation-class positions
-    sources: np.ndarray  # (n, L) training-class indices, in each entry's source order
-    is_mean: np.ndarray  # (n,) True where the entry takes the mean, False for the max
 
 
 @dataclass(frozen=True, eq=False)
 class ResolvedMapping:
-    """A mapping bound to a training vocabulary, grouped by source count.
+    """A mapping bound to a training vocabulary: each entry's source-class indices.
 
-    Within a group one row-wise reduction serves every entry. A row of an
-    ``(n, L)`` block is summed in the order ``np.mean`` sums a length-``L``
-    vector, so every mean is the same double as the mean of that entry's
-    sources on its own; mixing lengths in one segmented sum would not be.
+    ``map_probs`` gathers an entry's sources with ``take`` into a
+    C-contiguous block and reduces its last axis, so every row's mean is
+    the same double as ``np.mean`` of that row's sources as a vector (a
+    strided fancy-indexed block can differ in the last bit).
     """
 
     mapping: ClassMapping
-    groups: tuple[_SourceGroup, ...]
+    sources: tuple[np.ndarray, ...]  # per entry, training-class indices in source order
 
     @property
     def eval_classes(self) -> list[str]:
         return self.mapping.eval_classes
 
     def map_probs(self, probs: np.ndarray) -> np.ndarray:
-        """Map a training-class probability vector to evaluation classes."""
+        """Map ``(..., C_train)`` training-class probabilities to ``(..., C_eval)``."""
         probs = np.asarray(probs, dtype=np.float64)
-        out = np.empty(len(self.mapping.entries))
-        for group in self.groups:
-            src = probs[group.sources]
-            out[group.entries] = np.where(
-                group.is_mean,
-                np.add.reduce(src, axis=1) / src.shape[1],
-                np.maximum.reduce(src, axis=1),
-            )
+        out = np.empty((*probs.shape[:-1], len(self.sources)))
+        for i, (entry, src) in enumerate(zip(self.mapping.entries, self.sources)):
+            reduce = np.mean if entry.combiner == "mean" else np.max
+            out[..., i] = reduce(probs.take(src, axis=-1), axis=-1)
         return out
 
 
-def apply_class_mapping(detection: RegionDetection, mapping: ResolvedMapping) -> RegionDetection:
-    """Re-express a detection's probabilities over the evaluation classes.
+def apply_class_mapping(detections: RegionDetections, mapping: ResolvedMapping) -> RegionDetections:
+    """Re-express one image's probabilities over the evaluation classes.
 
-    Box and presence are untouched; each evaluation-class probability is
+    Boxes and presence are untouched; each evaluation-class probability is
     the mean or max of its source training classes' probabilities.
     """
-    return RegionDetection(
-        region_id=detection.region_id,
-        box=detection.box,
-        presence=detection.presence,
-        pathology_probs=mapping.map_probs(detection.pathology_probs),
-    )
+    return replace(detections, pathology_probs=mapping.map_probs(detections.pathology_probs))
 
 
 @dataclass(frozen=True)
@@ -204,7 +179,7 @@ class InferenceDiagnostics:
 
 
 def detect_pathologies(
-    regions: list[RegionDetection],
+    regions: RegionDetections,
     cfg: InferenceConfig = InferenceConfig(),
     diagnostics: InferenceDiagnostics | None = None,
 ) -> list[PathologyBox]:
@@ -213,32 +188,25 @@ def detect_pathologies(
     Applies the two-step pipeline described in the module docstring.
     Regions below the presence threshold and zero-area region boxes are
     skipped (counted in ``diagnostics`` when given). Output is ordered by
-    class id, then score descending. Empty input yields empty output.
+    class id, then score descending. No regions yield empty output.
     """
-    if not regions:
-        return []
-    n_classes = regions[0].pathology_probs.shape[0]
-    kept: list[RegionDetection] = []
-    for det in regions:
-        if det.pathology_probs.shape[0] != n_classes:
-            raise ValueError("regions disagree on the number of classes")
-        if det.presence < cfg.presence_threshold:
-            if diagnostics is not None:
-                diagnostics.absent_regions += 1
-            continue
-        if det.box.area == 0.0:
-            if diagnostics is not None:
-                diagnostics.degenerate_boxes += 1
-            continue
-        kept.append(det)
+    x1, y1, x2, y2 = regions.boxes.T
+    absent = regions.presence < cfg.presence_threshold
+    degenerate = ~absent & ((x2 - x1) * (y2 - y1) == 0.0)
+    if diagnostics is not None:
+        diagnostics.absent_regions += int(absent.sum())
+        diagnostics.degenerate_boxes += int(degenerate.sum())
+    kept = np.flatnonzero(~absent & ~degenerate)
+    boxes = [Box(*row) for row in regions.boxes[kept].tolist()]
+    probs = regions.pathology_probs[kept]
+    n_classes = probs.shape[1]
 
-    probs = np.array([det.pathology_probs for det in kept]).reshape(len(kept), n_classes)
     # class-major (class, region) pairs, regions ascending within a class
     cls_idx, reg_idx = np.nonzero(probs.T > cfg.probability_threshold)
     candidates: list[list[ScoredBox]] = [[] for _ in range(n_classes)]
     for cls, reg, p in zip(cls_idx.tolist(), reg_idx.tolist(), probs[reg_idx, cls_idx].tolist()):
         group = candidates[cls]
-        group.append(ScoredBox(box=kept[reg].box, score=p, source_index=len(group)))
+        group.append(ScoredBox(box=boxes[reg], score=p, source_index=len(group)))
 
     out: list[PathologyBox] = []
     for cls in range(n_classes):

@@ -21,7 +21,7 @@ from proxydet.inference import (
     InferenceConfig,
     InferenceDiagnostics,
     PathologyBox,
-    RegionDetection,
+    RegionDetections,
 )
 
 
@@ -234,29 +234,30 @@ def map_probs_ref(mapping: ClassMapping, train_classes: list[str], probs) -> np.
 
 
 def detect_pathologies_ref(
-    regions: list[RegionDetection],
+    regions: RegionDetections,
     cfg: InferenceConfig,
     diagnostics: InferenceDiagnostics | None = None,
 ) -> list[PathologyBox]:
     """Region-by-region candidate emission followed by :func:`wbf_ref` per class."""
-    if not regions:
-        return []
-    n_classes = regions[0].pathology_probs.shape[0]
+    n_classes = regions.pathology_probs.shape[1]
     candidates: list[list[ScoredBox]] = [[] for _ in range(n_classes)]
-    for det in regions:
-        if det.presence < cfg.presence_threshold:
+    for row, presence, probs in zip(
+        regions.boxes.tolist(), regions.presence.tolist(), regions.pathology_probs.tolist()
+    ):
+        if presence < cfg.presence_threshold:
             if diagnostics is not None:
                 diagnostics.absent_regions += 1
             continue
-        if det.box.area == 0.0:
+        box = Box(*row)
+        if box.area == 0.0:
             if diagnostics is not None:
                 diagnostics.degenerate_boxes += 1
             continue
         for cls in range(n_classes):
-            p = float(det.pathology_probs[cls])
+            p = probs[cls]
             if p > cfg.probability_threshold:
                 candidates[cls].append(
-                    ScoredBox(box=det.box, score=p, source_index=len(candidates[cls]))
+                    ScoredBox(box=box, score=p, source_index=len(candidates[cls]))
                 )
     out: list[PathologyBox] = []
     for cls in range(n_classes):

@@ -25,7 +25,7 @@ from proxydet.inference import (
     ClassMapping,
     InferenceConfig,
     MappingEntry,
-    RegionDetection,
+    RegionDetections,
     apply_class_mapping,
 )
 from proxydet.losses import AslParams, LsePoolParams, asl, lse_pool
@@ -281,10 +281,10 @@ def test_criterion_8_class_mapping_semantics():
         )
     ).resolve(train_classes)
     probs = np.array([0.11, 0.37, 0.52, 0.2, 0.6, 0.3, 0.7, 0.41, 0.05])
-    det = RegionDetection(
-        region_id=0, box=Box(0.1, 0.1, 0.6, 0.6), presence=1.0, pathology_probs=probs
+    det = RegionDetections(
+        boxes=[Box(0.1, 0.1, 0.6, 0.6).as_tuple()], presence=[1.0], pathology_probs=[probs]
     )
-    out = apply_class_mapping(det, mapping).pathology_probs
+    (out,) = apply_class_mapping(det, mapping).pathology_probs
     expected = np.array(
         [0.11, 0.37, 0.52, (0.2 + 0.6) / 2, (0.3 + 0.7) / 2, 0.7, 0.3, 0.41, 0.05]
     )

@@ -142,6 +142,22 @@ class TestFullPipeline:
         assert out_classes == ["infiltration"]
         assert preds["img"][0].score == pytest.approx(0.4, abs=1e-15)
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_infer_image_without_regions(self, tmp_path, mapped):
+        header = formats.DatasetHeader(classes=("a", "b"), n_regions=1, feature_dim=None)
+        region = formats.RegionRecord(0, Box(0.1, 0.1, 0.5, 0.5), 1.0, pathology_probs=np.array([0.8, 0.1]))
+        records = [formats.ImageRecord("empty", []), formats.ImageRecord("img", [region])]
+        data, out = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+        formats.write_dataset(data, header, records)
+        mapping = tmp_path / "map.json"
+        mapping.write_text('{"ab": {"sources": ["a", "b"], "combiner": "max"}}')
+        extra = ["--mapping", mapping] if mapped else []
+        assert _run("infer", "--data", data, "--probs-from-file", *extra, "--out", out) == 0
+        _, preds = formats.read_predictions(out)
+        assert list(preds) == ["empty", "img"]
+        assert preds["empty"] == []
+        assert [p.score for p in preds["img"]] == ([0.8] if mapped else [0.8, 0.1])
+
     def test_eval_on_gt_scores_one(self, pipeline_files, tmp_path):
         _, holdout = pipeline_files
         header, records = formats.read_dataset(holdout)
@@ -167,6 +183,18 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.jsonl:2" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_regions", 8.7), ("n_regions", "abc"), ("feature_dim", "x"), ("classes", "abc")]
+    )
+    def test_bad_header_field_exit_code(self, tmp_path, capsys, field, value):
+        header = {"kind": "dataset", "version": 1, "classes": ["a"], "n_regions": 1, field: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(header) + "\n")
+        code = _run("train", "--data", bad, "--checkpoint-out", tmp_path / "ck.bin")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad.jsonl:1: {field} must be" in err
 
     def test_infer_sources_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -381,6 +409,11 @@ class TestMalformedPredictions:
         assert self._eval(five_images, tmp_path, [{"kind": "predictions", "version": 1}]) == 2
         err = capsys.readouterr().err
         assert "pred.jsonl:1" in err and "classes" in err
+
+    def test_repeated_class_in_header(self, five_images, tmp_path, capsys):
+        header = {"kind": "predictions", "version": 1, "classes": ["finding_1", "finding_0", "finding_1"]}
+        assert self._eval(five_images, tmp_path, [header]) == 2
+        assert "pred.jsonl:1: duplicate class names in header" in capsys.readouterr().err
 
     def test_record_not_an_object(self, five_images, tmp_path, capsys):
         header = {"kind": "predictions", "version": 1, "classes": ["a"]}

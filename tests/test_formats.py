@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,46 @@ class TestDatasetRoundTrip:
             formats.read_dataset(path)
 
 
+class TestHeaderFields:
+    """A header field of the wrong type is a DataError naming the file and line."""
+
+    @staticmethod
+    def _write(tmp_path, **fields):
+        header = {"kind": "dataset", "version": 1, "classes": ["a"], "n_regions": 1, "feature_dim": None}
+        path = tmp_path / "h.jsonl"
+        path.write_text(json.dumps({**header, **fields}) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_regions", "abc", "n_regions must be an integer >= 0, got 'abc'"),
+            ("n_regions", 8.7, "n_regions must be an integer >= 0, got 8.7"),
+            ("n_regions", 8.0, "n_regions must be an integer >= 0, got 8.0"),
+            ("n_regions", True, "n_regions must be an integer >= 0, got True"),
+            ("n_regions", -1, "n_regions must be an integer >= 0, got -1"),
+            ("feature_dim", "x", "feature_dim must be an integer >= 1, got 'x'"),
+            ("feature_dim", 0, "feature_dim must be an integer >= 1, got 0"),
+            ("feature_dim", 2.5, "feature_dim must be an integer >= 1, got 2.5"),
+            ("classes", "abc", "classes must be a list of strings, got 'abc'"),
+            ("classes", ["a", 1], "classes must be a list of strings, got ['a', 1]"),
+            ("classes", None, "classes must be a list of strings, got None"),
+            ("classes", ["a", "b", "a"], "duplicate class names in header"),
+        ],
+    )
+    def test_rejected(self, tmp_path, field, value, message):
+        path = self._write(tmp_path, **{field: value})
+        with pytest.raises(DataError, match=re.escape(f"h.jsonl:1: {message}")):
+            formats.read_dataset(path)
+
+    @pytest.mark.parametrize("n_regions, feature_dim", [(0, None), (3, 1), (29, 512)])
+    def test_accepted(self, tmp_path, n_regions, feature_dim):
+        path = self._write(tmp_path, classes=["a", "b"], n_regions=n_regions, feature_dim=feature_dim)
+        header, records = formats.read_dataset(path)
+        assert header == formats.DatasetHeader(("a", "b"), n_regions, feature_dim)
+        assert records == []
+
+
 class TestPredictions:
     def test_roundtrip(self, tmp_path):
         classes = ["a", "b"]
@@ -176,6 +217,20 @@ class TestPredictions:
         ]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="duplicate"):
+            formats.read_predictions(path)
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            (["finding_1", "finding_0", "finding_1"], "duplicate class names in header"),
+            (["a", 2], "classes must be a list of strings"),
+            ("ab", "classes must be a list of strings"),
+        ],
+    )
+    def test_bad_header_classes_rejected(self, tmp_path, classes, message):
+        path = tmp_path / "pred.jsonl"
+        path.write_text(json.dumps({"kind": "predictions", "version": 1, "classes": classes}) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"pred.jsonl:1: {message}")):
             formats.read_predictions(path)
 
 

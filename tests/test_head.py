@@ -8,6 +8,7 @@ from hypothesis import given
 from helpers import AdamWRef, auroc, center_to_corner_ref, train_ref
 
 from proxydet.errors import ConfigError, TrainingError
+from proxydet.geometry import Box
 from proxydet.head import (
     AdamW,
     Batch,
@@ -94,12 +95,11 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(4, 6))
         dets = predict_regions(x, p)
         out = forward(x, p)
-        assert [d.region_id for d in dets] == [0, 1, 2, 3]
-        for i, d in enumerate(dets):
-            assert d.presence == out.presence[i]
-            assert np.array_equal(d.pathology_probs, out.pathology_probs[i])
-            cx, cy, w, h = out.boxes[i]
-            assert d.box.x1 == pytest.approx(max(cx - w / 2, 0.0), abs=1e-15)
+        assert dets.boxes.shape == (4, 4)
+        assert np.array_equal(dets.presence, out.presence)
+        assert np.array_equal(dets.pathology_probs, out.pathology_probs)
+        for i, (cx, cy, w, h) in enumerate(out.boxes):
+            assert dets.boxes[i, 0] == pytest.approx(max(cx - w / 2, 0.0), abs=1e-15)
 
 
     @given(st.lists(st.floats(min_value=-800.0, max_value=800.0), min_size=1, max_size=20))
@@ -120,8 +120,8 @@ class TestForward:
         out = forward(x, p)
         boxes = [center_to_corner_ref(*row) for row in out.boxes]
         dets = predict_regions(x, p)
-        assert [d.box for d in dets] == boxes
-        assert [d.presence for d in dets] == out.presence.tolist()
+        assert [Box(*row) for row in dets.boxes.tolist()] == boxes
+        assert dets.presence.tolist() == out.presence.tolist()
 
 
 def _random_batch(rng, b=2, r=3, d=6, c=3, with_anatomy=True, with_image=True):

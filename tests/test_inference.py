@@ -14,7 +14,7 @@ from proxydet.inference import (
     InferenceConfig,
     InferenceDiagnostics,
     MappingEntry,
-    RegionDetection,
+    RegionDetections,
     apply_class_mapping,
     detect_pathologies,
 )
@@ -22,10 +22,10 @@ from proxydet.inference import (
 TRAIN_CLASSES = ["infiltration", "lung_opacity", "enlarged_cardiac_silhouette"]
 
 
-def _det(box, presence, probs, region_id=0):
-    return RegionDetection(
-        region_id=region_id, box=box, presence=presence, pathology_probs=np.asarray(probs, float)
-    )
+def _det(boxes, presence, probs):
+    """One image's detections: row ``i`` is ``boxes[i]``, ``presence[i]`` and ``probs[i]``."""
+    corners = np.array([b.as_tuple() for b in boxes]).reshape(len(boxes), 4)
+    return RegionDetections(corners, presence, probs)
 
 
 class TestClassMapping:
@@ -33,33 +33,36 @@ class TestClassMapping:
         mapping = ClassMapping(
             (MappingEntry("infiltration", ("infiltration", "lung_opacity"), "mean"),)
         ).resolve(TRAIN_CLASSES)
-        det = _det(Box(0.1, 0.1, 0.4, 0.4), 0.9, [0.2, 0.6, 0.3])
+        det = _det([Box(0.1, 0.1, 0.4, 0.4)], [0.9], [[0.2, 0.6, 0.3]])
         out = apply_class_mapping(det, mapping)
-        assert out.pathology_probs[0] == pytest.approx(0.4, abs=1e-15)
+        assert out.pathology_probs[0, 0] == pytest.approx(0.4, abs=1e-15)
 
     def test_singleton_identity(self):
         mapping = ClassMapping(
             (MappingEntry("cardiomegaly", ("enlarged_cardiac_silhouette",)),)
         ).resolve(TRAIN_CLASSES)
-        det = _det(Box(0.1, 0.1, 0.4, 0.4), 0.9, [0.2, 0.6, 0.37])
+        det = _det([Box(0.1, 0.1, 0.4, 0.4)], [0.9], [[0.2, 0.6, 0.37]])
         out = apply_class_mapping(det, mapping)
-        assert out.pathology_probs[0] == 0.37
+        assert out.pathology_probs.tolist() == [[0.37]]
 
     def test_max_combiner(self):
         mapping = ClassMapping(
             (MappingEntry("infiltration", ("infiltration", "lung_opacity"), "max"),)
         ).resolve(TRAIN_CLASSES)
-        det = _det(Box(0.1, 0.1, 0.4, 0.4), 0.9, [0.2, 0.6, 0.3])
+        det = _det([Box(0.1, 0.1, 0.4, 0.4)], [0.9], [[0.2, 0.6, 0.3]])
         out = apply_class_mapping(det, mapping)
-        assert out.pathology_probs[0] == 0.6
+        assert out.pathology_probs[0, 0] == 0.6
 
     def test_box_and_presence_untouched(self):
         mapping = ClassMapping.identity(TRAIN_CLASSES).resolve(TRAIN_CLASSES)
-        det = _det(Box(0.1, 0.2, 0.4, 0.5), 0.77, [0.2, 0.6, 0.3], region_id=5)
+        det = _det(
+            [Box(0.1, 0.2, 0.4, 0.5), Box(0.3, 0.3, 0.9, 0.8)],
+            [0.77, 0.2],
+            [[0.2, 0.6, 0.3], [0.9, 0.0, 1.0]],
+        )
         out = apply_class_mapping(det, mapping)
-        assert out.box == det.box
-        assert out.presence == det.presence
-        assert out.region_id == 5
+        assert np.array_equal(out.boxes, det.boxes)
+        assert np.array_equal(out.presence, det.presence)
         assert np.array_equal(out.pathology_probs, det.pathology_probs)
 
     def test_unknown_source_class_rejected(self):
@@ -78,39 +81,36 @@ class TestClassMapping:
 
 class TestDetectPathologies:
     def test_single_region_single_class(self):
-        det = _det(Box(0.1, 0.1, 0.5, 0.5), 1.0, [0.9])
-        (out,) = detect_pathologies([det])
+        box = Box(0.1, 0.1, 0.5, 0.5)
+        (out,) = detect_pathologies(_det([box], [1.0], [[0.9]]))
         assert out.class_id == 0
-        assert out.box == det.box
+        assert out.box == box
         assert out.score == 0.9
 
     def test_two_overlapping_regions_fuse(self):
         b1 = Box(0.1, 0.1, 0.5, 0.5)
         b2 = Box(0.2, 0.1, 0.6, 0.5)
         assert iou_ref(b1, b2) > 0.03
-        dets = [_det(b1, 1.0, [0.8], 0), _det(b2, 1.0, [0.4], 1)]
-        (out,) = detect_pathologies(dets)
+        (out,) = detect_pathologies(_det([b1, b2], [1.0, 1.0], [[0.8], [0.4]]))
         assert out.score == pytest.approx(0.6, abs=1e-15)
         assert out.box.x1 == pytest.approx((0.8 * 0.1 + 0.4 * 0.2) / 1.2, abs=1e-15)
 
     def test_disjoint_regions_top1_keeps_best(self):
         b1 = Box(0.0, 0.0, 0.3, 0.3)
         b2 = Box(0.6, 0.6, 0.9, 0.9)
-        dets = [_det(b1, 1.0, [0.4], 0), _det(b2, 1.0, [0.8], 1)]
-        (out,) = detect_pathologies(dets)
+        (out,) = detect_pathologies(_det([b1, b2], [1.0, 1.0], [[0.4], [0.8]]))
         assert out.box == b2
         assert out.score == 0.8
 
     def test_no_top1_keeps_all_clusters(self):
         b1 = Box(0.0, 0.0, 0.3, 0.3)
         b2 = Box(0.6, 0.6, 0.9, 0.9)
-        dets = [_det(b1, 1.0, [0.4], 0), _det(b2, 1.0, [0.8], 1)]
+        dets = _det([b1, b2], [1.0, 1.0], [[0.4], [0.8]])
         out = detect_pathologies(dets, InferenceConfig(top1_per_class=False))
         assert len(out) == 2
 
     def test_region_shares_box_across_classes(self):
-        det = _det(Box(0.1, 0.1, 0.5, 0.5), 1.0, [0.9, 0.7])
-        out = detect_pathologies([det])
+        out = detect_pathologies(_det([Box(0.1, 0.1, 0.5, 0.5)], [1.0], [[0.9, 0.7]]))
         assert len(out) == 2
         assert out[0].box == out[1].box
         assert {b.class_id for b in out} == {0, 1}
@@ -118,44 +118,47 @@ class TestDetectPathologies:
 
     def test_presence_threshold_filters(self):
         diagnostics = InferenceDiagnostics()
-        dets = [
-            _det(Box(0.1, 0.1, 0.5, 0.5), 0.4, [0.9], 0),
-            _det(Box(0.6, 0.6, 0.9, 0.9), 0.6, [0.8], 1),
-        ]
+        dets = _det([Box(0.1, 0.1, 0.5, 0.5), Box(0.6, 0.6, 0.9, 0.9)], [0.4, 0.6], [[0.9], [0.8]])
         out = detect_pathologies(dets, InferenceConfig(), diagnostics)
         assert len(out) == 1 and out[0].score == 0.8
         assert diagnostics.absent_regions == 1
 
     def test_degenerate_boxes_skipped_with_count(self):
         diagnostics = InferenceDiagnostics()
-        dets = [
-            _det(Box(0.5, 0.5, 0.5, 0.5), 1.0, [0.9], 0),
-            _det(Box(0.1, 0.1, 0.4, 0.4), 1.0, [0.8], 1),
-        ]
+        dets = _det([Box(0.5, 0.5, 0.5, 0.5), Box(0.1, 0.1, 0.4, 0.4)], [1.0, 1.0], [[0.9], [0.8]])
         out = detect_pathologies(dets, InferenceConfig(), diagnostics)
         assert diagnostics.degenerate_boxes == 1
         assert len(out) == 1 and out[0].score == 0.8
 
     def test_probability_strictly_above_tau(self):
-        det = _det(Box(0.1, 0.1, 0.5, 0.5), 1.0, [0.7, 0.2])
-        out = detect_pathologies([det], InferenceConfig(probability_threshold=0.7))
+        det = _det([Box(0.1, 0.1, 0.5, 0.5)], [1.0], [[0.7, 0.2]])
+        out = detect_pathologies(det, InferenceConfig(probability_threshold=0.7))
         assert out == []
 
     def test_empty_input(self):
-        assert detect_pathologies([]) == []
+        diagnostics = InferenceDiagnostics()
+        assert detect_pathologies(_det([], [], np.zeros((0, 3))), InferenceConfig(), diagnostics) == []
+        assert diagnostics == InferenceDiagnostics()
 
     def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            _det(Box(0, 0, 1, 1), 1.0, [1.2])
-        with pytest.raises(ValueError):
-            _det(Box(0, 0, 1, 1), -0.1, [0.5])
+        with pytest.raises(ValueError, match="probabilities"):
+            _det([Box(0, 0, 1, 1)], [1.0], [[1.2]])
+        with pytest.raises(ValueError, match="presence"):
+            _det([Box(0, 0, 1, 1)], [-0.1], [[0.5]])
+        with pytest.raises(ValueError, match="presence"):
+            _det([Box(0, 0, 1, 1)], [float("nan")], [[0.5]])
+        with pytest.raises(ValueError, match="need"):
+            _det([Box(0, 0, 1, 1)], [1.0, 1.0], [[0.5], [0.5]])
+        with pytest.raises(ValueError, match="need"):
+            _det([Box(0, 0, 1, 1)], [1.0], [0.5])
 
 
 def _random_image(rng, n_regions=6, n_classes=4):
-    return [
-        _det(random_box(rng, 0.05), float(rng.uniform(0.3, 1.0)), rng.uniform(0, 1, n_classes), i)
-        for i in range(n_regions)
-    ]
+    return _det(
+        [random_box(rng, 0.05) for _ in range(n_regions)],
+        rng.uniform(0.3, 1.0, n_regions),
+        rng.uniform(0, 1, (n_regions, n_classes)),
+    )
 
 
 class TestPipelineProperties:
@@ -177,15 +180,13 @@ class TestPipelineProperties:
             regions = _random_image(rng)
             out = detect_pathologies(regions, cfg)
             for pb in out:
-                contributing = [
-                    d.box
-                    for d in regions
-                    if d.presence >= cfg.presence_threshold
-                    and d.box.area > 0
-                    and d.pathology_probs[pb.class_id] > cfg.probability_threshold
+                x1, y1, x2, y2 = regions.boxes.T
+                contributing = regions.boxes[
+                    (regions.presence >= cfg.presence_threshold)
+                    & ((x2 - x1) * (y2 - y1) > 0)
+                    & (regions.pathology_probs[:, pb.class_id] > cfg.probability_threshold)
                 ]
-                lo = [min(b.as_tuple()[i] for b in contributing) for i in range(4)]
-                hi = [max(b.as_tuple()[i] for b in contributing) for i in range(4)]
+                lo, hi = contributing.min(axis=0), contributing.max(axis=0)
                 for i, v in enumerate(pb.box.as_tuple()):
                     assert lo[i] - 1e-12 <= v <= hi[i] + 1e-12
 
@@ -211,7 +212,7 @@ class TestPipelineProperties:
         for _ in range(50):
             regions = _random_image(rng)
             out = detect_pathologies(regions, cfg)
-            input_boxes = {d.box.as_tuple() for d in regions}
+            input_boxes = {tuple(row) for row in regions.boxes.tolist()}
             for pb in out:
                 assert pb.box.as_tuple() in input_boxes
 
@@ -221,10 +222,11 @@ def region_sets(draw):
     n_classes = draw(st.integers(min_value=1, max_value=6))
     n_regions = draw(st.integers(min_value=0, max_value=40 // n_classes + 1))
     presence = st.sampled_from([0.0, 0.3, 0.5, 1.0])
-    return [
-        _det(draw(any_box()), draw(presence), [draw(score) for _ in range(n_classes)], i)
-        for i in range(n_regions)
-    ]
+    return _det(
+        [draw(any_box()) for _ in range(n_regions)],
+        [draw(presence) for _ in range(n_regions)],
+        np.array([draw(score) for _ in range(n_regions * n_classes)]).reshape(n_regions, n_classes),
+    )
 
 
 class TestMatchesRegionLoopReference:
@@ -250,9 +252,10 @@ class TestMatchesRegionLoopReference:
 
     @given(
         n_train=st.integers(min_value=1, max_value=12),
+        n_rows=st.integers(min_value=0, max_value=30),
         data=st.data(),
     )
-    def test_map_probs(self, n_train, data):
+    def test_map_probs(self, n_train, n_rows, data):
         train_classes = [f"t{i}" for i in range(n_train)]
         entries = tuple(
             MappingEntry(
@@ -263,6 +266,10 @@ class TestMatchesRegionLoopReference:
             for i in range(data.draw(st.integers(min_value=1, max_value=8)))
         )
         mapping = ClassMapping(entries)
-        probs = np.array(data.draw(st.lists(score, min_size=n_train, max_size=n_train)))
+        probs = np.array(
+            [data.draw(st.lists(score, min_size=n_train, max_size=n_train)) for _ in range(n_rows)]
+        ).reshape(n_rows, n_train)
         out = mapping.resolve(train_classes).map_probs(probs)
-        assert out.tolist() == map_probs_ref(mapping, train_classes, probs).tolist()
+        assert out.shape == (n_rows, len(entries))
+        for row, mapped in zip(probs, out):
+            assert mapped.tolist() == map_probs_ref(mapping, train_classes, row).tolist()

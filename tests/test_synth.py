@@ -3,7 +3,7 @@ import pytest
 
 from proxydet.errors import ConfigError
 from proxydet.evaluation import evaluate
-from proxydet.inference import InferenceConfig, RegionDetection, detect_pathologies
+from proxydet.inference import InferenceConfig, RegionDetections, detect_pathologies
 from proxydet.synth import SynthConfig, canonical_layout, generate_dataset, _build_world
 
 from helpers import iou_ref
@@ -155,15 +155,11 @@ class TestNoiseFreeSeparability:
         gt = ground_truth_from_scenes(scenes, cfg.n_classes)
         predictions = {}
         for s in scenes:
-            regions = [
-                RegionDetection(
-                    region_id=r,
-                    box=s.region_boxes[r],
-                    presence=1.0,
-                    pathology_probs=s.anatomy_labels[r],
-                )
-                for r in range(cfg.n_regions)
-            ]
+            regions = RegionDetections(
+                boxes=[b.as_tuple() for b in s.region_boxes],
+                presence=np.ones(cfg.n_regions),
+                pathology_probs=s.anatomy_labels,
+            )
             predictions[s.image_id] = detect_pathologies(
                 regions, InferenceConfig(probability_threshold=0.5)
             )
