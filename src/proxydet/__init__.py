@@ -9,7 +9,7 @@ benchmark.
 
 from .errors import ConfigError, DataError, ProxydetError, TrainingError
 from .evaluation import EvalConfig, EvalReport, GroundTruth, GtImage, evaluate
-from .fusion import FusionConfig, ScoredBox, weighted_box_fusion
+from .fusion import FusionConfig, ScoredBox, ScoredBoxes, weighted_box_fusion
 from .geometry import Box, iou
 from .head import AdamW, HeadParams, TrainConfig, TrainSample, forward, init_head_params, train
 from .inference import (
@@ -62,6 +62,7 @@ __all__ = [
     "ProxydetError",
     "RegionDetections",
     "ScoredBox",
+    "ScoredBoxes",
     "SynthConfig",
     "SynthScene",
     "TrainConfig",

@@ -75,10 +75,8 @@ def ground_truth_from_scenes(scenes: list[SynthScene], n_classes: int) -> Ground
 def predict_scenes(
     scenes: list[SynthScene], params: HeadParams, cfg: InferenceConfig
 ) -> dict[str, list]:
-    return {
-        scene.image_id: detect_pathologies(predict_regions(scene.features, params), cfg)
-        for scene in scenes
-    }
+    boxes = detect_pathologies([predict_regions(scene.features, params) for scene in scenes], cfg)
+    return {scene.image_id: b for scene, b in zip(scenes, boxes)}
 
 
 def run_mode(

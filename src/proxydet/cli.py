@@ -27,7 +27,6 @@ from .head import (
 )
 from .inference import (
     InferenceConfig,
-    InferenceDiagnostics,
     apply_class_mapping,
     detect_pathologies,
 )
@@ -210,8 +209,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     else:
         out_classes = train_classes
 
-    diagnostics = InferenceDiagnostics()
-    predictions = {}
+    detections = []
     for rec in records:
         if params is not None:
             ordered = formats.regions_by_id(rec, header.n_regions)
@@ -219,12 +217,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
                 raise ConfigError(
                     f"image {rec.image_id!r}: checkpoint inference requires region features"
                 )
-            detections = predict_regions(np.stack([reg.features for reg in ordered]), params)
+            det = predict_regions(np.stack([reg.features for reg in ordered]), params)
         else:
-            detections = formats.record_to_detections(rec, header)
+            det = formats.record_to_detections(rec, header)
         if mapping is not None:
-            detections = apply_class_mapping(detections, mapping)
-        predictions[rec.image_id] = detect_pathologies(detections, cfg, diagnostics)
+            det = apply_class_mapping(det, mapping)
+        detections.append(det)
+    boxes = detect_pathologies(detections, cfg)
+    predictions = {rec.image_id: b for rec, b in zip(records, boxes)}
     formats.write_predictions(args.out, out_classes, predictions)
     return 0
 

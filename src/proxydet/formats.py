@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .evaluation import EvalReport, GroundTruth, GtImage
 from .geometry import Box, corner_to_center_batch
-from .head import PARAM_FIELDS, HeadParams, LossBreakdown, TrainSample
+from .head import PARAM_FIELDS, HeadParams, LossBreakdown, TrainSample, _param_layout
 from .inference import ClassMapping, MappingEntry, PathologyBox, RegionDetections
 
 FORMAT_VERSION = 1
@@ -662,16 +662,29 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             raise DataError(f"{path}: malformed checkpoint manifest") from exc
         arrays: dict[str, np.ndarray] = {}
         for name, shape in specs:
+            if any(d < 0 for d in shape):
+                raise DataError(f"{path}: array {name!r} has a negative dimension {list(shape)}")
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise DataError(f"{path}: truncated checkpoint (array {name!r})")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise DataError(f"{path}: array {name!r} holds a non-finite value")
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after checkpoint payload")
     missing = [n for n in PARAM_FIELDS if n not in arrays]
     if missing:
         raise DataError(f"{path}: checkpoint missing arrays {missing}")
+    # every shape follows from pathology_weight's (n_classes, feature_dim)
+    weight_shape = arrays["pathology_weight"].shape
+    if len(weight_shape) != 2:
+        raise DataError(f"{path}: array 'pathology_weight' has shape {list(weight_shape)}, expected 2-D")
+    for name, shape, _, _ in _param_layout(weight_shape[1], weight_shape[0]):
+        if arrays[name].shape != shape:
+            raise DataError(
+                f"{path}: array {name!r} has shape {list(arrays[name].shape)}, expected {list(shape)}"
+            )
     return HeadParams.from_dict(arrays), meta
 
 

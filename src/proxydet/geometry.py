@@ -9,10 +9,9 @@ error).
 :class:`Box` is the corner box that files, fusion and the metrics pass
 around. GIoU, its gradient and the center/size <-> corner conversions
 exist only as ``*_batch`` functions on ``(N, 4)`` float arrays, the form
-the loss code, gradcheck and the file converters use. IoU has two forms
-on purpose: scalar :func:`iou` scores one pair at a time (merged clusters
-in fusion, matching in evaluation) and :func:`iou_matrix` builds fusion's
-pairwise table; the two agree bit for bit.
+the loss code, gradcheck and the file converters use. Scalar :func:`iou`
+scores one pair at a time (matching in evaluation); fusion runs its float
+operations, in the same order, on whole arrays of candidates and clusters.
 """
 
 from __future__ import annotations
@@ -71,24 +70,6 @@ def iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of ``(N, 4)`` and ``(M, 4)`` corner arrays as an ``(N, M)`` table.
-
-    Entry ``[i, j]`` runs the float operations of :func:`iou` on ``a[i]``
-    and ``b[j]`` in the same order, so it equals ``iou`` bit for bit
-    (a zero may differ in sign).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    overlap = np.minimum(a[:, None, 2:], b[None, :, 2:]) - np.maximum(a[:, None, :2], b[None, :, :2])
-    np.maximum(overlap, 0.0, out=overlap)
-    inter = overlap[..., 0] * overlap[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
 def _coordinate_rows(a: np.ndarray) -> np.ndarray:

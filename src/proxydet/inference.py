@@ -12,6 +12,12 @@ Two steps turn region detections into pathology boxes:
     fusion, and optionally only the top-scoring box per class is kept
     (matching evaluation data with at most one box per class).
 
+:func:`detect_pathologies` takes a batch of images. Step (i) runs on
+each image's arrays; step (ii) fuses the (image, class) groups of whole
+images in passes, one lockstep :func:`fusion.weighted_box_fusion` call
+each, with at most ``_PASS_CELLS`` padded cells of fusion state per
+pass. Boxes and :class:`PathologyBox` objects are built only for output.
+
 Because neighbouring regions overlap and the fusion threshold is small,
 fused boxes can be pulled towards sub-parts of a region or stretch over
 several regions.
@@ -23,15 +29,19 @@ thresholding.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .fusion import FusionConfig, ScoredBox, weighted_box_fusion
+from .fusion import FusionConfig, ScoredBoxes, weighted_box_fusion
 from .geometry import Box
 
 COMBINERS = ("mean", "max")
+
+# padded cells (groups x largest group) of one fusion pass: bounds its memory
+_PASS_CELLS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +58,16 @@ class RegionDetections:
         n = len(self.presence) if self.presence.ndim == 1 else -1
         if self.boxes.shape != (n, 4) or self.pathology_probs.ndim != 2 or len(self.pathology_probs) != n:
             raise ValueError("need (R, 4) boxes, (R,) presence and (R, C) pathology_probs")
+        x1, y1, x2, y2 = self.boxes.T
+        bad = np.flatnonzero(~((0.0 <= x1) & (x1 <= x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 <= y2) & (y2 <= 1.0)))
+        if len(bad):
+            raise ValueError(
+                f"region {bad[0]}: invalid box corners {tuple(self.boxes[bad[0]].tolist())}: "
+                "need 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1"
+            )
         if not ((self.presence >= 0.0) & (self.presence <= 1.0)).all():
             raise ValueError("presence outside [0, 1]")
-        if ((self.pathology_probs < 0.0) | (self.pathology_probs > 1.0)).any():
+        if not ((self.pathology_probs >= 0.0) & (self.pathology_probs <= 1.0)).all():
             raise ValueError("pathology probabilities outside [0, 1]")
 
 
@@ -179,39 +196,58 @@ class InferenceDiagnostics:
 
 
 def detect_pathologies(
-    regions: RegionDetections,
+    regions: Sequence[RegionDetections],
     cfg: InferenceConfig = InferenceConfig(),
     diagnostics: InferenceDiagnostics | None = None,
-) -> list[PathologyBox]:
-    """Predict pathology boxes for one image from its region detections.
+) -> list[list[PathologyBox]]:
+    """Predict pathology boxes for each image from its region detections.
 
-    Applies the two-step pipeline described in the module docstring.
-    Regions below the presence threshold and zero-area region boxes are
-    skipped (counted in ``diagnostics`` when given). Output is ordered by
-    class id, then score descending. No regions yield empty output.
+    Applies the two-step pipeline described in the module docstring and
+    returns one list per image, in input order. Regions below the
+    presence threshold and zero-area region boxes are skipped (counted in
+    ``diagnostics`` when given). Each list is ordered by class id, then
+    score descending; an image without candidates gets an empty list.
     """
-    x1, y1, x2, y2 = regions.boxes.T
-    absent = regions.presence < cfg.presence_threshold
-    degenerate = ~absent & ((x2 - x1) * (y2 - y1) == 0.0)
-    if diagnostics is not None:
-        diagnostics.absent_regions += int(absent.sum())
-        diagnostics.degenerate_boxes += int(degenerate.sum())
-    kept = np.flatnonzero(~absent & ~degenerate)
-    boxes = [Box(*row) for row in regions.boxes[kept].tolist()]
-    probs = regions.pathology_probs[kept]
-    n_classes = probs.shape[1]
+    out: list[list[PathologyBox]] = []
+    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # group ids, boxes, scores
+    offsets = [0]  # first group id of each pending image, then the next free one
+    n_groups = widest = 0
+    for det in regions:
+        x1, y1, x2, y2 = det.boxes.T
+        absent = det.presence < cfg.presence_threshold
+        degenerate = ~absent & ((x2 - x1) * (y2 - y1) == 0.0)
+        if diagnostics is not None:
+            diagnostics.absent_regions += int(absent.sum())
+            diagnostics.degenerate_boxes += int(degenerate.sum())
+        kept = np.flatnonzero(~absent & ~degenerate)
+        probs = det.pathology_probs[kept]
+        # class-major (class, region) pairs, regions ascending within a class
+        cls, reg = np.nonzero(probs.T > cfg.probability_threshold)
+        sizes = np.bincount(cls)
+        groups, width = np.count_nonzero(sizes), int(sizes.max(initial=0))
+        if pending and (n_groups + groups) * max(widest, width) > _PASS_CELLS:
+            out += _fuse_pass(pending, offsets, cfg)
+            pending, offsets, n_groups, widest = [], [0], 0, 0
+        pending.append((cls + offsets[-1], det.boxes[kept[reg]], probs[reg, cls]))
+        offsets.append(offsets[-1] + probs.shape[1])
+        n_groups, widest = n_groups + groups, max(widest, width)
+    if pending:
+        out += _fuse_pass(pending, offsets, cfg)
+    return out
 
-    # class-major (class, region) pairs, regions ascending within a class
-    cls_idx, reg_idx = np.nonzero(probs.T > cfg.probability_threshold)
-    candidates: list[list[ScoredBox]] = [[] for _ in range(n_classes)]
-    for cls, reg, p in zip(cls_idx.tolist(), reg_idx.tolist(), probs[reg_idx, cls_idx].tolist()):
-        group = candidates[cls]
-        group.append(ScoredBox(box=boxes[reg], score=p, source_index=len(group)))
 
-    out: list[PathologyBox] = []
-    for cls in range(n_classes):
-        fused = weighted_box_fusion(candidates[cls], cfg.fusion)
-        if cfg.top1_per_class:
-            fused = fused[:1]
-        out.extend(PathologyBox(class_id=cls, box=sb.box, score=sb.score) for sb in fused)
+def _fuse_pass(pending: list, offsets: list[int], cfg: InferenceConfig) -> list[list[PathologyBox]]:
+    """One fusion call over every (image, class) group of the ``pending`` images."""
+    group, boxes, scores = (np.concatenate(part) for part in zip(*pending))
+    fused = weighted_box_fusion(ScoredBoxes(group, boxes, scores, np.arange(len(scores))), cfg.fusion)
+    group, boxes, scores = fused.group, fused.boxes, fused.scores
+    if cfg.top1_per_class:
+        _, first = np.unique(group, return_index=True)
+        group, boxes, scores = group[first], boxes[first], scores[first]
+    image = np.searchsorted(offsets, group, side="right") - 1
+    out: list[list[PathologyBox]] = [[] for _ in pending]
+    for i, c, row, score in zip(
+        image.tolist(), (group - np.take(offsets, image)).tolist(), boxes.tolist(), scores.tolist()
+    ):
+        out[i].append(PathologyBox(class_id=c, box=Box(*row), score=score))
     return out

@@ -454,6 +454,33 @@ class TestMalformedCheckpoint:
         assert "five.ckpt" in err and f"manifest missing field {field}" in err
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["arrays"][3].__setitem__("shape", [-1, -1]), "'presence_bias' has a negative dimension"),
+            (lambda m: m["arrays"][8].__setitem__("shape", [16, 4]), "'box_w3' has shape [16, 4]"),
+        ],
+        ids=["negative", "shape"],
+    )
+    def test_bad_array_shape(self, five_images, tmp_path, capsys, edit, message):
+        data, ckpt = five_images
+        _edit_manifest(ckpt, edit)
+        code = _run("infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        assert f"five.ckpt: array {message}" in capsys.readouterr().err
+
+    def test_non_finite_value(self, five_images, tmp_path, capsys):
+        data, ckpt = five_images
+        magic, manifest, payload = ckpt.read_bytes().split(b"\n", 2)
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        # pathology_bias follows the (5, 16) pathology_weight
+        values[5 * 16 + 1] = np.nan
+        ckpt.write_bytes(magic + b"\n" + manifest + b"\n" + values.tobytes())
+        code = _run("infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        assert "five.ckpt: array 'pathology_bias' holds a non-finite value" in capsys.readouterr().err
+
+
 class TestCheckpointDatasetMismatch:
     def test_classes_must_match_the_dataset(self, five_images, tmp_path, capsys):
         _, ckpt = five_images

@@ -346,6 +346,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="truncated"):
             formats.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda arrays, m: arrays["pathology_bias"].__setitem__(1, math.nan), "'pathology_bias' holds a non-finite"),
+            (lambda arrays, m: m["arrays"][3].__setitem__("shape", [-1, -1]), "'presence_bias' has a negative dimension"),
+            (lambda arrays, m: m["arrays"][8].__setitem__("shape", [6, 4]), "'box_w3' has shape [6, 4], expected [4, 6]"),
+        ],
+        ids=["nan", "negative", "shape"],
+    )
+    def test_bad_array_named(self, tmp_path, edit, message):
+        params = init_head_params(6, 3, np.random.default_rng(0))
+        arrays = params.to_dict()
+        manifest = {
+            "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in PARAM_FIELDS],
+            "classes": ["a", "b", "c"], "feature_dim": 6, "mode": "loc", "n_classes": 3, "seed": 0,
+        }
+        edit(arrays, manifest)
+        path = tmp_path / "ck.bin"
+        path.write_bytes(
+            b"proxydet-checkpoint-v1\n" + json.dumps(manifest).encode() + b"\n"
+            + b"".join(arrays[n].astype("<f8").tobytes() for n in PARAM_FIELDS)
+        )
+        with pytest.raises(DataError, match=re.escape(f"{path}: array {message}")):
+            formats.load_checkpoint(path)
+
     def test_deterministic_bytes(self, tmp_path):
         params = init_head_params(4, 2, np.random.default_rng(1))
         meta = formats.CheckpointMeta(mode="mil", classes=("a", "b"), seed=1)

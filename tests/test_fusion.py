@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import THRESHOLDS, any_box, score
 from helpers import iou_ref, random_box, wbf_ref
 
-from proxydet.fusion import FusionConfig, ScoredBox, weighted_box_fusion
+from proxydet.fusion import FusionConfig, ScoredBox, ScoredBoxes, weighted_box_fusion
 from proxydet.geometry import Box
 
 
@@ -168,3 +168,37 @@ class TestMatchesSequentialReference:
         order = np.random.default_rng(permutation_seed).permutation(len(inputs))
         out = weighted_box_fusion([inputs[j] for j in order], cfg)
         assert out == wbf_ref(inputs, cfg)
+
+    @settings(max_examples=200)
+    @given(
+        groups=st.lists(fusion_inputs(max_boxes=12), max_size=8),
+        threshold=st.sampled_from(THRESHOLDS),
+        rescale=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_many_groups_equal_reference_per_group(self, groups, threshold, rescale, seed):
+        cfg = FusionConfig(iou_threshold=threshold, score_rescale=rescale)
+        rng = np.random.default_rng(seed)
+        # sparse group ids, and the groups' rows interleaved
+        ids = rng.permutation(3 * len(groups))[: len(groups)].tolist()
+        rows = [(gid, sb) for gid, inputs in zip(ids, groups) for sb in inputs]
+        rows = [rows[j] for j in rng.permutation(len(rows))]
+        record = ScoredBoxes(
+            np.array([gid for gid, _ in rows], dtype=np.intp),
+            np.array([sb.box.as_tuple() for _, sb in rows]).reshape(len(rows), 4),
+            np.array([sb.score for _, sb in rows]),
+            np.array([sb.source_index for _, sb in rows], dtype=np.intp),
+        )
+        out = weighted_box_fusion(record, cfg)
+        got = [
+            (gid, ScoredBox(Box(*row), score, index))
+            for gid, row, score, index in zip(
+                out.group.tolist(), out.boxes.tolist(), out.scores.tolist(), out.source_index.tolist()
+            )
+        ]
+        want = [
+            (gid, sb)
+            for gid, inputs in sorted(zip(ids, groups), key=lambda pair: pair[0])
+            for sb in wbf_ref(inputs, cfg)
+        ]
+        assert got == want

@@ -22,7 +22,6 @@ from proxydet.geometry import (
     giou_batch,
     giou_gradient_batch,
     iou,
-    iou_matrix,
 )
 
 
@@ -107,14 +106,6 @@ class TestIou:
             v = iou(a, b)
             assert 0.0 <= v <= 1.0
             assert v == iou(b, a)
-
-
-    @given(st.lists(boxes(), min_size=1, max_size=12), st.lists(boxes(), min_size=1, max_size=12))
-    def test_matrix_matches_scalar_exactly(self, a, b):
-        table = iou_matrix(
-            np.array([x.as_tuple() for x in a]), np.array([y.as_tuple() for y in b])
-        )
-        assert table.tolist() == [[iou(x, y) for y in b] for x in a]
 
 
 class TestGiou:

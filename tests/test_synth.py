@@ -153,16 +153,16 @@ class TestNoiseFreeSeparability:
         from proxydet.benchmark import ground_truth_from_scenes
 
         gt = ground_truth_from_scenes(scenes, cfg.n_classes)
-        predictions = {}
-        for s in scenes:
-            regions = RegionDetections(
+        regions = [
+            RegionDetections(
                 boxes=[b.as_tuple() for b in s.region_boxes],
                 presence=np.ones(cfg.n_regions),
                 pathology_probs=s.anatomy_labels,
             )
-            predictions[s.image_id] = detect_pathologies(
-                regions, InferenceConfig(probability_threshold=0.5)
-            )
+            for s in scenes
+        ]
+        boxes = detect_pathologies(regions, InferenceConfig(probability_threshold=0.5))
+        predictions = {s.image_id: b for s, b in zip(scenes, boxes)}
         report = evaluate(predictions, gt)
         assert report.overall_map == 1.0
         for cls in report.ap:
