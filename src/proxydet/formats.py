@@ -168,10 +168,10 @@ def _parse_features(value, where: str) -> np.ndarray:
     return features
 
 
-def _parse_probs(value, classes: tuple[str, ...], where: str) -> np.ndarray:
+def _parse_probs(value, index: dict[str, int], where: str) -> np.ndarray:
+    """Probabilities by class; ``index`` maps each header class name to its column."""
     _require(isinstance(value, dict), where, "pathology_probs must be an object")
-    index = {name: i for i, name in enumerate(classes)}
-    out = np.zeros(len(classes))
+    out = np.zeros(len(index))
     for name, p in value.items():
         if name not in index:
             raise DataError(f"{where}: unknown class name {name!r}")
@@ -223,8 +223,9 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
             except KeyError as exc:
                 raise DataError(f"{where}: header missing field {exc}") from exc
             feature_dim, dim_source = header.feature_dim, "header feature_dim"
+            class_index = {name: i for i, name in enumerate(header.classes)}
             continue
-        record = _parse_image_record(obj, header, where)
+        record = _parse_image_record(obj, header, class_index, where)
         first = first_line.setdefault(record.image_id, line_no)
         _require(
             first == line_no, where, f"duplicate image id {record.image_id!r} (first at line {first})"
@@ -244,7 +245,7 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
     return replace(header, feature_dim=feature_dim), records
 
 
-def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
+def _parse_image_record(obj, header: DatasetHeader, class_index: dict[str, int], where: str) -> ImageRecord:
     _require("image_id" in obj, where, "missing image_id")
     _require("regions" in obj and isinstance(obj["regions"], list), where, "missing regions array")
     regions = []
@@ -265,7 +266,7 @@ def _parse_image_record(obj, header: DatasetHeader, where: str) -> ImageRecord:
             features = _parse_features(reg["features"], rwhere)
         probs = None
         if reg.get("pathology_probs") is not None:
-            probs = _parse_probs(reg["pathology_probs"], header.classes, rwhere)
+            probs = _parse_probs(reg["pathology_probs"], class_index, rwhere)
         regions.append(
             RegionRecord(
                 region_id=region_id,
@@ -626,9 +627,9 @@ class CheckpointMeta:
 
 def save_checkpoint(path: str | Path, params: HeadParams, meta: CheckpointMeta) -> None:
     """Versioned binary checkpoint: magic line, JSON manifest, little-endian float64 blobs."""
-    arrays = params.to_dict()
+    layout = _param_layout(params.feature_dim, params.n_classes)
     manifest = {
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in PARAM_FIELDS],
+        "arrays": [{"name": name, "shape": list(shape)} for name, shape, _, _ in layout],
         "classes": list(meta.classes),
         "feature_dim": params.feature_dim,
         "mode": meta.mode,
@@ -638,8 +639,8 @@ def save_checkpoint(path: str | Path, params: HeadParams, meta: CheckpointMeta) 
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(canonical_json(manifest).encode("utf-8") + b"\n")
-        for name in PARAM_FIELDS:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        # the flat vector is the arrays in manifest order
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
@@ -653,9 +654,11 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             specs = [(str(spec["name"]), tuple(int(v) for v in spec["shape"])) for spec in manifest["arrays"]]
             meta = CheckpointMeta(
                 mode=str(manifest["mode"]),
-                classes=tuple(manifest["classes"]),
+                classes=_parse_classes(manifest["classes"], str(path)),
                 seed=int(manifest["seed"]),
             )
+            n_classes = _parse_count(manifest["n_classes"], str(path), "n_classes", 1)
+            feature_dim = _parse_count(manifest["feature_dim"], str(path), "feature_dim", 1)
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint manifest missing field {exc}") from exc
         except (TypeError, ValueError) as exc:  # includes JSON and UTF-8 decoding errors
@@ -685,6 +688,11 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             raise DataError(
                 f"{path}: array {name!r} has shape {list(arrays[name].shape)}, expected {list(shape)}"
             )
+    if len(meta.classes) != weight_shape[0] or (n_classes, feature_dim) != weight_shape:
+        raise DataError(
+            f"{path}: manifest declares {len(meta.classes)} classes, n_classes {n_classes} and feature_dim "
+            f"{feature_dim}, but array 'pathology_weight' has shape {list(weight_shape)}"
+        )
     return HeadParams.from_dict(arrays), meta
 
 

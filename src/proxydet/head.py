@@ -14,8 +14,9 @@ are derived by hand (no autodiff) and verified against finite differences
 in the test suite; the optimizer is AdamW with decoupled weight decay.
 
 Training takes the loss terms and their gradients w.r.t. the head
-outputs from the batched core in :mod:`proxydet.losses` and
-backpropagates them through the sigmoids and the box MLP.
+outputs from the batched core in :mod:`proxydet.losses`, backpropagates
+them through the sigmoids and the box MLP into a :class:`HeadParams`
+gradient record, and lets :class:`AdamW` update the parameters' vector.
 """
 
 from __future__ import annotations
@@ -48,131 +49,85 @@ TRAIN_MODES = ("loc", "mil", "loc_mil")
 DEFAULT_LEARNING_RATE = {"loc": 3e-5, "mil": 1e-4, "loc_mil": 3e-5}
 DEFAULT_WEIGHT_DECAY = {"loc": 1e-5, "mil": 1e-4, "loc_mil": 1e-5}
 
-PARAM_FIELDS = (
-    "pathology_weight",
-    "pathology_bias",
-    "presence_weight",
-    "presence_bias",
-    "box_w1",
-    "box_b1",
-    "box_w2",
-    "box_b2",
-    "box_w3",
-    "box_b3",
-)
+
+@lru_cache(maxsize=None)
+def _param_layout(feature_dim: int, n_classes: int) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """``(name, shape, start, stop)`` of each parameter array in the flat vector, in order."""
+    d, c = feature_dim, n_classes
+    layout, pos = [], 0
+    for name, shape in (
+        ("pathology_weight", (c, d)),
+        ("pathology_bias", (c,)),
+        ("presence_weight", (d,)),
+        ("presence_bias", (1,)),
+        ("box_w1", (d, d)),
+        ("box_b1", (d,)),
+        ("box_w2", (d, d)),
+        ("box_b2", (d,)),
+        ("box_w3", (4, d)),
+        ("box_b3", (4,)),
+    ):
+        layout.append((name, shape, pos, pos + math.prod(shape)))
+        pos += math.prod(shape)
+    return tuple(layout)
 
 
-@dataclass(eq=False)
+PARAM_FIELDS = tuple(name for name, *_ in _param_layout(1, 1))
+
+
 class HeadParams:
-    """All trainable arrays; shapes are fixed by feature_dim and n_classes."""
+    """All trainable arrays of the heads, as consecutive views of one float64 vector ``flat``.
 
-    pathology_weight: np.ndarray  # (C, D)
-    pathology_bias: np.ndarray  # (C,)
-    presence_weight: np.ndarray  # (D,)
-    presence_bias: np.ndarray  # (1,)
-    box_w1: np.ndarray  # (D, D)
-    box_b1: np.ndarray  # (D,)
-    box_w2: np.ndarray  # (D, D)
-    box_b2: np.ndarray  # (D,)
-    box_w3: np.ndarray  # (4, D)
-    box_b3: np.ndarray  # (4,)
+    With D = ``feature_dim`` and C = ``n_classes``, in ``PARAM_FIELDS``
+    order: ``pathology_weight`` (C, D), ``pathology_bias`` (C,),
+    ``presence_weight`` (D,), ``presence_bias`` (1,), ``box_w1`` (D, D),
+    ``box_b1`` (D,), ``box_w2`` (D, D), ``box_b2`` (D,), ``box_w3`` (4, D)
+    and ``box_b3`` (4,). Gradients use the same record.
+    """
 
-    @property
-    def feature_dim(self) -> int:
-        return self.pathology_weight.shape[1]
+    __slots__ = ("flat", "feature_dim", "n_classes", *PARAM_FIELDS)
 
-    @property
-    def n_classes(self) -> int:
-        return self.pathology_weight.shape[0]
+    def __init__(self, flat: np.ndarray, feature_dim: int, n_classes: int):
+        layout = _param_layout(feature_dim, n_classes)
+        if flat.dtype != np.float64 or flat.shape != (layout[-1][3],):
+            raise ValueError(f"flat must be a float64 vector of length {layout[-1][3]}, got {flat.dtype} {flat.shape}")
+        self.flat = flat
+        self.feature_dim = feature_dim
+        self.n_classes = n_classes
+        for name, shape, start, stop in layout:
+            setattr(self, name, flat[start:stop].reshape(shape))
 
     def to_dict(self) -> dict[str, np.ndarray]:
+        """The named arrays; they are views of ``flat``."""
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     @classmethod
     def from_dict(cls, arrays: dict[str, np.ndarray]) -> "HeadParams":
-        return cls(**{name: np.asarray(arrays[name], dtype=np.float64) for name in PARAM_FIELDS})
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in PARAM_FIELDS])
+        """Parameters holding copies of ``arrays`` in a new vector; shapes follow ``pathology_weight``."""
+        n_classes, feature_dim = np.shape(arrays["pathology_weight"])
+        params = cls(np.zeros(_param_layout(feature_dim, n_classes)[-1][3]), feature_dim, n_classes)
+        for name, view in params.to_dict().items():
+            if np.shape(arrays[name]) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(arrays[name])}, expected {view.shape}")
+            view[...] = arrays[name]
+        return params
 
     @classmethod
     def from_flat(cls, vec: np.ndarray, feature_dim: int, n_classes: int) -> "HeadParams":
-        """Parameters whose arrays are consecutive views of ``vec`` (a float64 vector is not copied)."""
-        vec = np.ascontiguousarray(vec, dtype=np.float64).reshape(-1)
-        return cls(**_FlatArrays(vec, _param_layout(feature_dim, n_classes)))
-
-
-def _layout(shapes) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
-    """``(name, shape, start, stop)`` of each ``(name, shape)`` array, in order, in one flat vector."""
-    layout, pos = [], 0
-    for name, shape in shapes:
-        size = math.prod(shape)
-        layout.append((name, tuple(shape), pos, pos + size))
-        pos += size
-    return tuple(layout)
-
-
-@lru_cache(maxsize=None)
-def _param_layout(feature_dim: int, n_classes: int) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
-    """The layout of the head's parameter arrays, ``PARAM_FIELDS`` order."""
-    d, c = feature_dim, n_classes
-    return _layout(
-        [
-            ("pathology_weight", (c, d)),
-            ("pathology_bias", (c,)),
-            ("presence_weight", (d,)),
-            ("presence_bias", (1,)),
-            ("box_w1", (d, d)),
-            ("box_b1", (d,)),
-            ("box_w2", (d, d)),
-            ("box_b2", (d,)),
-            ("box_w3", (4, d)),
-            ("box_b3", (4,)),
-        ]
-    )
-
-
-class _FlatArrays(dict):
-    """Named arrays that are consecutive views of one flat buffer, ``flat``.
-
-    The head's parameters during training and every gradient dict are
-    laid out this way, so :class:`AdamW` can update all of them with a
-    few whole-buffer operations. Replacing an entry breaks the link.
-    """
-
-    def __init__(self, flat: np.ndarray, layout: tuple[tuple[str, tuple[int, ...], int, int], ...]):
-        super().__init__()
-        if flat.size != layout[-1][3]:
-            raise ValueError("flat vector length does not match parameter shapes")
-        self.flat = flat
-        self.layout = layout
-        for name, shape, start, stop in layout:
-            self[name] = flat[start:stop].reshape(shape)
-
-    @classmethod
-    def empty(cls, layout) -> "_FlatArrays":
-        return cls(np.empty(layout[-1][3]), layout)
-
-
-def _init_flat_params(feature_dim: int, n_classes: int, rng: np.random.Generator) -> _FlatArrays:
-    if feature_dim < 1 or n_classes < 1:
-        raise ConfigError("feature_dim and n_classes must be positive")
-    bound = 1.0 / np.sqrt(feature_dim)
-    arrays = _FlatArrays.empty(_param_layout(feature_dim, n_classes))
-    for name, arr in arrays.items():
-        if name.endswith("bias") or name.endswith(("b1", "b2", "b3")):
-            arr[...] = 0.0
-        else:
-            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
-    return arrays
+        """Parameters whose arrays are views of ``vec`` (a contiguous float64 vector is not copied)."""
+        return cls(np.ascontiguousarray(vec, dtype=np.float64).reshape(-1), feature_dim, n_classes)
 
 
 def init_head_params(feature_dim: int, n_classes: int, rng: np.random.Generator) -> HeadParams:
-    """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero.
-
-    The arrays are consecutive views of one flat buffer.
-    """
-    return HeadParams(**_init_flat_params(feature_dim, n_classes, rng))
+    """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero."""
+    if feature_dim < 1 or n_classes < 1:
+        raise ConfigError("feature_dim and n_classes must be positive")
+    bound = 1.0 / np.sqrt(feature_dim)
+    params = HeadParams(np.zeros(_param_layout(feature_dim, n_classes)[-1][3]), feature_dim, n_classes)
+    for name, arr in params.to_dict().items():
+        if not name.endswith(("bias", "b1", "b2", "b3")):
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    return params
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -290,6 +245,9 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         if self.batch_size < 1 or self.max_steps < 0 or self.patience < 1:
             raise ConfigError("batch_size/patience must be positive, max_steps >= 0")
+        for name, value in (("learning_rate", self.learning_rate), ("weight_decay", self.weight_decay)):
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def lr(self) -> float:
@@ -316,8 +274,8 @@ def batch_loss(batch: Batch, params: HeadParams, cfg: TrainConfig) -> LossBreakd
 
 def batch_loss_and_grads(
     batch: Batch, params: HeadParams, cfg: TrainConfig
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Loss breakdown plus gradients for every parameter array.
+) -> tuple[LossBreakdown, HeadParams]:
+    """Loss breakdown plus the gradient of every parameter array, as a :class:`HeadParams` record.
 
     Raises :class:`TrainingError` if the loss is non-finite.
     """
@@ -380,24 +338,23 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     )
     dz_box = d_boxes.reshape(b * r, 4) * cache["boxes"] * (1.0 - cache["boxes"])
 
-    # every gradient is written into one flat buffer
-    grads = _FlatArrays.empty(_param_layout(d, c))
-    np.matmul(x.T, dz_pres, out=grads["presence_weight"])
-    np.sum(dz_pres, keepdims=True, out=grads["presence_bias"])
-    np.matmul(dz_path.T, x, out=grads["pathology_weight"])
-    np.sum(dz_path, axis=0, out=grads["pathology_bias"])
+    grads = HeadParams(np.empty(params.flat.size), d, c)
+    np.matmul(x.T, dz_pres, out=grads.presence_weight)
+    np.sum(dz_pres, keepdims=True, out=grads.presence_bias)
+    np.matmul(dz_path.T, x, out=grads.pathology_weight)
+    np.sum(dz_path, axis=0, out=grads.pathology_bias)
 
     # each hidden layer's arrays are dropped once used; at D=512 that lowers the
     # peak memory and the page faults of a step
-    np.matmul(dz_box.T, cache.pop("h2"), out=grads["box_w3"])
-    np.sum(dz_box, axis=0, out=grads["box_b3"])
+    np.matmul(dz_box.T, cache.pop("h2"), out=grads.box_w3)
+    np.sum(dz_box, axis=0, out=grads.box_b3)
     dh2 = (dz_box @ params.box_w3) * (cache.pop("h2_pre") > 0.0)
-    np.matmul(dh2.T, cache.pop("h1"), out=grads["box_w2"])
-    np.sum(dh2, axis=0, out=grads["box_b2"])
+    np.matmul(dh2.T, cache.pop("h1"), out=grads.box_w2)
+    np.sum(dh2, axis=0, out=grads.box_b2)
     dh1 = (dh2 @ params.box_w2) * (cache.pop("h1_pre") > 0.0)
     del dh2
-    np.matmul(dh1.T, x, out=grads["box_w1"])
-    np.sum(dh1, axis=0, out=grads["box_b1"])
+    np.matmul(dh1.T, x, out=grads.box_w1)
+    np.sum(dh1, axis=0, out=grads.box_b1)
     return breakdown, grads
 
 
@@ -407,19 +364,17 @@ def _batch_loss_core(batch, params, cfg, want_grads):
 
 
 class AdamW:
-    """AdamW with decoupled weight decay, operating in place on array dicts.
+    """AdamW with decoupled weight decay, updating one flat parameter vector in place.
 
     Decay is applied directly to the parameters (scaled by the learning
     rate), not folded into the gradient; moments are bias-corrected. The
-    moments of all arrays are views of one flat buffer, made on the first
-    step, so every step must pass the same array names and shapes. When
-    the parameters and the gradients are laid out in flat buffers the same
-    way, as in :func:`train`, :meth:`_update` runs on the whole buffers a
-    chunk at a time with persistent scratch space; otherwise it runs array
-    by array.
+    moments are made on the first step, so every step must pass vectors of
+    that length: in :func:`train`, ``HeadParams.flat`` of the parameters
+    and of the gradients. :meth:`_update` runs on the vectors a chunk at a
+    time with persistent scratch space.
     """
 
-    _CHUNK = 1 << 14  # elements per whole-buffer pass
+    _CHUNK = 1 << 14  # elements per pass
 
     def __init__(
         self,
@@ -435,30 +390,25 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.exp_avg: dict[str, np.ndarray] = {}
-        self.exp_avg_sq: dict[str, np.ndarray] = {}
+        self.exp_avg: np.ndarray | None = None
+        self.exp_avg_sq: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of the float64 vector ``params`` in place, given its gradient ``grads``."""
+        if self.exp_avg is None:
+            self.exp_avg, self.exp_avg_sq = np.zeros(params.size), np.zeros(params.size)
+            self._scratch = np.empty((2, min(params.size, self._CHUNK)))
+        p, g, m, v = params, grads, self.exp_avg, self.exp_avg_sq
+        if p.shape != m.shape or g.shape != m.shape:
+            raise ValueError(f"params and grads must be vectors of length {m.size}, got {p.shape}, {g.shape}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        if not self.exp_avg:
-            layout = _layout((name, np.shape(p)) for name, p in params.items())
-            self.exp_avg = _FlatArrays(np.zeros(layout[-1][3]), layout)
-            self.exp_avg_sq = _FlatArrays(np.zeros(layout[-1][3]), layout)
-            self._scratch = np.empty((2, min(layout[-1][3], self._CHUNK)))
-        m_all, v_all = self.exp_avg, self.exp_avg_sq
-        if getattr(params, "layout", None) == getattr(grads, "layout", None) == m_all.layout:
-            p, g, m, v = params.flat, grads.flat, m_all.flat, v_all.flat
-            for lo in range(0, p.size, self._CHUNK):
-                hi = min(lo + self._CHUNK, p.size)
-                s, u = self._scratch[:, : hi - lo]
-                self._update(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bc1, bc2, s, u)
-            return
-        for name, p in params.items():
-            s, u = np.empty_like(p), np.empty_like(p)
-            self._update(p, grads[name], m_all[name], v_all[name], bc1, bc2, s, u)
+        for lo in range(0, p.size, self._CHUNK):
+            hi = min(lo + self._CHUNK, p.size)
+            s, u = self._scratch[:, : hi - lo]
+            self._update(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bc1, bc2, s, u)
 
     def _update(self, p, g, m, v, bc1, bc2, s, u) -> None:
         """Update ``p`` and its moments ``m``, ``v`` in place; ``s``, ``u`` are scratch shaped like ``p``."""
@@ -558,9 +508,7 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
     batch_size = min(cfg.batch_size, len(samples))
     feats, anat, imgl, all_targets = _stack_samples(samples, cfg, batch_size, n_classes)
 
-    # AdamW updates the flat buffer behind param_dict; params holds views of it
-    param_dict = _init_flat_params(feature_dim, n_classes, np.random.default_rng([cfg.seed, 0]))
-    params = HeadParams(**param_dict)
+    params = init_head_params(feature_dim, n_classes, np.random.default_rng([cfg.seed, 0]))
     opt = AdamW(learning_rate=cfg.lr, weight_decay=cfg.wd)
     batches = _batch_indices(len(samples), batch_size, np.random.default_rng([cfg.seed, 1]))
 
@@ -581,7 +529,7 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
         )
         batch.targets = targets
         breakdown, grads = batch_loss_and_grads(batch, params, cfg)
-        opt.step(param_dict, grads)
+        opt.step(params.flat, grads.flat)
         history.append((step, breakdown))
         steps_run = step + 1
         if breakdown.total < best:

@@ -373,6 +373,6 @@ def train_ref(samples: list[TrainSample], cfg: TrainConfig, n_classes: int):
         fields = ("features", "target_boxes", "present", "anatomy_labels", "image_labels")
         batch = Batch(*(stack(f) for f in fields))
         breakdown, grads = batch_loss_and_grads(batch, params, cfg)
-        opt.step(arrays, {k: np.array(v) for k, v in grads.items()})
+        opt.step(arrays, {k: np.array(v) for k, v in grads.to_dict().items()})
         history.append((step, breakdown))
     return params, history

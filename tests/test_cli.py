@@ -245,6 +245,10 @@ class TestBadConfigValues:
             ("train", "--asl-weight", -1),
             ("train", "--lse-r", 0),
             ("train", "--l1-weight", -1),
+            ("train", "--lr", -0.01),
+            ("train", "--lr", "nan"),
+            ("train", "--weight-decay", -5),
+            ("train", "--weight-decay", "inf"),
             ("infer", "--tau", 2),
             ("infer", "--wbf-iou", 2),
             ("infer", "--presence-threshold", -0.5),
@@ -500,4 +504,20 @@ class TestCheckpointDatasetMismatch:
         assert code == 2
         err = capsys.readouterr().err
         assert "feature_dim 16" in err and "wide.jsonl" in err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_manifest_classes_must_match_the_arrays(self, five_images, tmp_path, capsys, mapped):
+        # a five-class checkpoint whose manifest lists three classes, run on a three-class set
+        _, ckpt = five_images
+        _edit_manifest(ckpt, lambda m: m.__setitem__("classes", m["classes"][:3]))
+        three = tmp_path / "three.jsonl"
+        assert _run("synth", "--n-images", 5, "--n-classes", 3, "--seed", 4, "--out", three) == 0
+        mapping = tmp_path / "map.json"
+        mapping.write_text('{"f": {"sources": ["finding_0", "finding_2"]}}')
+        extra = ["--mapping", mapping] if mapped else []
+        code = _run("infer", "--data", three, "--checkpoint", ckpt, *extra, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "five.ckpt: manifest declares 3 classes, n_classes 5" in err
         assert not (tmp_path / "p.jsonl").exists()

@@ -95,6 +95,27 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match=r"bad\.jsonl:2.*zz"):
             formats.read_dataset(path)
 
+    def test_probability_columns_follow_the_header_in_every_record(self, tmp_path):
+        path = _probs_dataset(tmp_path, [{"b": 0.25}, {"a": 0.5, "b": 1.0}, {}])
+        _, records = formats.read_dataset(path)
+        assert [r.regions[0].pathology_probs.tolist() for r in records] == [[0.0, 0.25], [0.5, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([0.5], "pathology_probs must be an object"),
+            ({"zz": 0.5}, "unknown class name 'zz'"),
+            ({"a": "x"}, "probability for 'a' must be a number, got 'x'"),
+            ({"b": 1.5}, "probability for 'b' outside [0, 1]"),
+            ({"a": math.nan}, "probability for 'a' outside [0, 1]"),
+        ],
+        ids=["list", "unknown", "string", "above-one", "nan"],
+    )
+    def test_bad_probabilities_named(self, tmp_path, probs, message):
+        path = _probs_dataset(tmp_path, [{"a": 0.1}, probs])
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: regions[0]: {message}")):
+            formats.read_dataset(path)
+
     def test_inverted_box_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         header = '{"kind":"dataset","version":1,"classes":["a"],"n_regions":1,"feature_dim":null}'
@@ -320,6 +341,18 @@ class TestGroundTruthConversion:
             formats.ground_truth_from_records(records, ["not_a_class"])
 
 
+def _probs_dataset(tmp_path, probs_per_image):
+    """A dataset over classes a, b with one region per image storing the given probabilities."""
+    path = tmp_path / "probs.jsonl"
+    header = '{"kind":"dataset","version":1,"classes":["a","b"],"n_regions":1,"feature_dim":null}'
+    records = [
+        json.dumps({"image_id": str(i), "regions": [{"region_id": 0, "box": [0, 0, 1, 1], "pathology_probs": probs}]})
+        for i, probs in enumerate(probs_per_image)
+    ]
+    path.write_text("\n".join([header, *records]) + "\n")
+    return path
+
+
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         params = init_head_params(6, 3, np.random.default_rng(0))
@@ -330,6 +363,37 @@ class TestCheckpoint:
         assert meta2 == meta
         for name in PARAM_FIELDS:
             assert np.array_equal(loaded.to_dict()[name], params.to_dict()[name])
+
+    def test_payload_is_the_flat_vector(self, tmp_path):
+        params = init_head_params(6, 3, np.random.default_rng(0))
+        path = tmp_path / "ck.bin"
+        formats.save_checkpoint(path, params, formats.CheckpointMeta(mode="loc", classes=("a", "b", "c"), seed=0))
+        _, manifest, payload = path.read_bytes().split(b"\n", 2)
+        assert payload == params.flat.astype("<f8").tobytes()
+        assert [spec["name"] for spec in json.loads(manifest)["arrays"]] == list(PARAM_FIELDS)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("classes", ["a", "b"], "manifest declares 2 classes, n_classes 3 and feature_dim 6"),
+            ("n_classes", 4, "manifest declares 3 classes, n_classes 4 and feature_dim 6"),
+            ("feature_dim", 5, "manifest declares 3 classes, n_classes 3 and feature_dim 5"),
+            ("classes", ["a", 1, "c"], "classes must be a list of strings"),
+            ("classes", ["a", "a", "c"], "duplicate class names"),
+            ("n_classes", "3", "n_classes must be an integer >= 1, got '3'"),
+        ],
+        ids=["classes", "n_classes", "feature_dim", "class-type", "class-repeated", "n_classes-type"],
+    )
+    def test_manifest_must_agree_with_the_arrays(self, tmp_path, field, value, message):
+        params = init_head_params(6, 3, np.random.default_rng(0))
+        path = tmp_path / "ck.bin"
+        formats.save_checkpoint(path, params, formats.CheckpointMeta(mode="loc", classes=("a", "b", "c"), seed=0))
+        magic, manifest, payload = path.read_bytes().split(b"\n", 2)
+        obj = json.loads(manifest)
+        obj[field] = value
+        path.write_bytes(magic + b"\n" + json.dumps(obj).encode() + b"\n" + payload)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            formats.load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

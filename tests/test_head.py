@@ -10,6 +10,7 @@ from helpers import AdamWRef, auroc, center_to_corner_ref, train_ref
 from proxydet.errors import ConfigError, TrainingError
 from proxydet.geometry import Box
 from proxydet.head import (
+    PARAM_FIELDS,
     AdamW,
     Batch,
     HeadParams,
@@ -143,11 +144,11 @@ class TestBackward:
         batch = _random_batch(rng)
         cfg = TrainConfig(mode="loc", weights=CombinedLossWeights(asl_weight=0.0))
         _, grads = batch_loss_and_grads(batch, _params(), cfg)
-        assert np.all(grads["pathology_weight"] == 0.0)
-        assert np.all(grads["pathology_bias"] == 0.0)
+        assert np.all(grads.pathology_weight == 0.0)
+        assert np.all(grads.pathology_bias == 0.0)
         # detection-side gradients still flow
-        assert np.any(grads["presence_weight"] != 0.0)
-        assert np.any(grads["box_w3"] != 0.0)
+        assert np.any(grads.presence_weight != 0.0)
+        assert np.any(grads.box_w3 != 0.0)
 
     def test_single_region_single_class_hand_chain_rule(self):
         rng = np.random.default_rng(6)
@@ -161,8 +162,8 @@ class TestBackward:
         z = float(params.pathology_weight[0] @ x[0, 0] + params.pathology_bias[0])
         p = 1.0 / (1.0 + np.exp(-z))
         upstream = cfg.weights.asl_weight * asl_grad(p, 1.0, cfg.asl) * p * (1 - p)
-        assert np.allclose(grads["pathology_weight"][0], upstream * x[0, 0], atol=1e-12)
-        assert grads["pathology_bias"][0] == pytest.approx(upstream, abs=1e-12)
+        assert np.allclose(grads.pathology_weight[0], upstream * x[0, 0], atol=1e-12)
+        assert grads.pathology_bias[0] == pytest.approx(upstream, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["loc", "mil", "loc_mil"])
     def test_gradients_match_finite_differences(self, mode):
@@ -171,13 +172,18 @@ class TestBackward:
         batch = _random_batch(rng, b=2, r=3, d=5, c=2)
         cfg = TrainConfig(mode=mode)
         _, grads = batch_loss_and_grads(batch, params, cfg)
-        analytic = np.concatenate([grads[n].ravel() for n in params.to_dict()])
 
         def f(vec):
             return batch_loss(batch, HeadParams.from_flat(vec, 5, 2), cfg).total
 
-        rep = finite_difference_check(f, params.flat(), analytic)
+        rep = finite_difference_check(f, params.flat.copy(), grads.flat)
         assert rep.max_rel_error <= 1e-4
+
+    def test_gradient_record_is_the_named_gradients_in_order(self):
+        batch = _random_batch(np.random.default_rng(3))
+        _, grads = batch_loss_and_grads(batch, _params(), TrainConfig(mode="loc_mil"))
+        named = np.concatenate([getattr(grads, name).ravel() for name in PARAM_FIELDS])
+        assert grads.flat.tobytes() == named.tobytes()
 
     def test_missing_labels_rejected(self):
         rng = np.random.default_rng(10)
@@ -244,8 +250,8 @@ class TestBackward:
         for name in (f.name for f in dataclasses.fields(LossBreakdown)):
             expected = np.mean([getattr(one, name) for one, _ in singles])
             assert getattr(whole, name) == pytest.approx(expected, abs=1e-12), name
-        for name, grad in grads.items():
-            expected = np.mean([one[name] for _, one in singles], axis=0)
+        for name, grad in grads.to_dict().items():
+            expected = np.mean([getattr(one, name) for _, one in singles], axis=0)
             assert grad == pytest.approx(expected, abs=1e-12), name
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -259,27 +265,64 @@ class TestBackward:
             batch_loss_and_grads(batch, params, TrainConfig(mode="loc"))
 
 
+class TestHeadParams:
+    def test_from_dict_of_to_dict_is_a_byte_equal_copy(self):
+        params = _params()
+        copy = HeadParams.from_dict(params.to_dict())
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copy.flat, params.flat)
+        assert (copy.feature_dim, copy.n_classes) == (6, 3)
+
+    def test_from_flat_shares_memory_with_its_vector(self):
+        vec = np.arange(_params().flat.size, dtype=np.float64)
+        params = HeadParams.from_flat(vec, 6, 3)
+        assert np.shares_memory(params.flat, vec)
+        params.box_b3[...] = -1.0
+        assert np.all(vec[-4:] == -1.0)
+
+    def test_named_arrays_are_views_of_the_vector_in_order(self):
+        params = _params()
+        named = np.concatenate([arr.ravel() for arr in params.to_dict().values()])
+        assert list(params.to_dict()) == list(PARAM_FIELDS)
+        assert named.tobytes() == params.flat.tobytes()
+        assert all(np.shares_memory(arr, params.flat) for arr in params.to_dict().values())
+
+    @pytest.mark.parametrize(
+        "vec", [np.zeros(139), np.zeros((1, 140)), np.zeros(140, np.float32)], ids=["length", "2-D", "float32"]
+    )
+    def test_wrong_vector_rejected(self, vec):
+        # D=6, C=3 take 3*6 + 3 + 6 + 1 + 2*(6*6 + 6) + 4*6 + 4 = 140 values
+        with pytest.raises(ValueError, match="float64 vector of length 140"):
+            HeadParams(vec, 6, 3)
+
+    def test_from_dict_rejects_a_wrong_shape(self):
+        arrays = _params().to_dict()
+        arrays["box_b1"] = np.zeros(5)
+        with pytest.raises(ValueError, match="box_b1"):
+            HeadParams.from_dict(arrays)
+
+
 class TestAdamW:
     def test_zero_grad_no_decay_keeps_params(self):
         opt = AdamW(learning_rate=0.1, weight_decay=0.0)
-        params = {"x": np.array([1.0, -2.0])}
-        before = params["x"].copy()
-        opt.step(params, {"x": np.zeros(2)})
-        assert np.array_equal(params["x"], before)
+        params = np.array([1.0, -2.0])
+        before = params.copy()
+        opt.step(params, np.zeros(2))
+        assert np.array_equal(params, before)
 
     def test_zero_grad_decay_scales_params(self):
         lr, wd = 0.1, 0.5
         opt = AdamW(learning_rate=lr, weight_decay=wd)
-        params = {"x": np.array([1.0, -2.0])}
-        opt.step(params, {"x": np.zeros(2)})
-        assert np.allclose(params["x"], np.array([1.0, -2.0]) * (1 - lr * wd), atol=1e-15)
-        opt.step(params, {"x": np.zeros(2)})
-        assert np.allclose(params["x"], np.array([1.0, -2.0]) * (1 - lr * wd) ** 2, atol=1e-15)
+        params = np.array([1.0, -2.0])
+        opt.step(params, np.zeros(2))
+        assert np.allclose(params, np.array([1.0, -2.0]) * (1 - lr * wd), atol=1e-15)
+        opt.step(params, np.zeros(2))
+        assert np.allclose(params, np.array([1.0, -2.0]) * (1 - lr * wd) ** 2, atol=1e-15)
 
     def test_two_step_scalar_recurrence(self):
         opt = AdamW(learning_rate=0.1)
-        params = {"x": np.array([1.0])}
-        grad = {"x": np.array([0.5])}
+        params = np.array([1.0])
+        grad = np.array([0.5])
         # transcription of the bias-corrected update equations
         x, m, v = 1.0, 0.0, 0.0
         expected = []
@@ -289,36 +332,41 @@ class TestAdamW:
             x = x - 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
             expected.append(x)
         opt.step(params, grad)
-        assert params["x"][0] == pytest.approx(expected[0], rel=1e-12)
+        assert params[0] == pytest.approx(expected[0], rel=1e-12)
         opt.step(params, grad)
-        assert params["x"][0] == pytest.approx(expected[1], rel=1e-12)
+        assert params[0] == pytest.approx(expected[1], rel=1e-12)
         # frozen values from the same recurrence evaluated independently
-        assert params["x"][0] == pytest.approx(0.8000000040000005, abs=1e-12)
+        assert params[0] == pytest.approx(0.8000000040000005, abs=1e-12)
 
     def test_step_counter(self):
         opt = AdamW(learning_rate=0.1)
-        params = {"x": np.array([1.0])}
+        params = np.array([1.0])
         for _ in range(3):
-            opt.step(params, {"x": np.array([0.1])})
+            opt.step(params, np.array([0.1]))
         assert opt.step_count == 3
 
-    def test_flat_buffers_over_several_chunks_bit_equal_to_reference(self):
-        from proxydet.head import _FlatArrays, _init_flat_params, _param_layout
+    def test_vector_length_fixed_by_the_first_step(self):
+        opt = AdamW(learning_rate=0.1)
+        opt.step(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="length 3"):
+            opt.step(np.ones(3), np.zeros(4))
+        with pytest.raises(ValueError, match="length 3"):
+            opt.step(np.ones((1, 3)), np.zeros((1, 3)))
+        assert opt.step_count == 1
 
-        # at D=128 the flat update runs in three chunks, the last one partial
+    def test_flat_buffers_over_several_chunks_bit_equal_to_reference(self):
+        # at D=128 the update runs in three chunks, the last one partial
         rng = np.random.default_rng(0)
-        params = _init_flat_params(128, 5, rng)
+        params = init_head_params(128, 5, rng)
         assert params.flat.size > 2 * AdamW._CHUNK and params.flat.size % AdamW._CHUNK
-        ref_params = {k: v.copy() for k, v in params.items()}
-        dict_params = {k: v.copy() for k, v in params.items()}
-        opt, by_array, ref = AdamW(0.01, 1e-4), AdamW(0.01, 1e-4), AdamWRef(0.01, 1e-4)
+        ref_params = {k: v.copy() for k, v in params.to_dict().items()}
+        opt, ref = AdamW(0.01, 1e-4), AdamWRef(0.01, 1e-4)
         for _ in range(3):
-            grads = _FlatArrays(rng.normal(size=params.flat.size), _param_layout(128, 5))
-            opt.step(params, grads)
-            by_array.step(dict_params, dict(grads))
-            ref.step(ref_params, grads)
-        for name, arr in params.items():
-            assert arr.tobytes() == ref_params[name].tobytes() == dict_params[name].tobytes(), name
+            grads = HeadParams.from_flat(rng.normal(size=params.flat.size), 128, 5)
+            opt.step(params.flat, grads.flat)
+            ref.step(ref_params, grads.to_dict())
+        for name, arr in params.to_dict().items():
+            assert arr.tobytes() == ref_params[name].tobytes(), name
 
 
 def _toy_samples(n=40, seed=0, r=4, c=2, d=8):
@@ -397,6 +445,16 @@ class TestTrain:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(mode="semi")
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+    def test_negative_or_non_finite_step_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
+            TrainConfig(mode="loc", **{field: value})
+
+    def test_zero_step_sizes_allowed(self):
+        cfg = TrainConfig(mode="mil", learning_rate=0.0, weight_decay=0.0)
+        assert (cfg.lr, cfg.wd) == (0.0, 0.0)
 
     def test_early_stopping(self):
         samples = _toy_samples(10)
