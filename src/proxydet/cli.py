@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import formats, gradcheck
 from .errors import ConfigError, ProxydetError
 from .evaluation import EvalConfig, evaluate
@@ -212,12 +210,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     detections = []
     for rec in records:
         if params is not None:
-            ordered = formats.regions_by_id(rec, header.n_regions)
-            if any(reg.features is None for reg in ordered):
-                raise ConfigError(
-                    f"image {rec.image_id!r}: checkpoint inference requires region features"
-                )
-            det = predict_regions(np.stack([reg.features for reg in ordered]), params)
+            det = predict_regions(rec.head_features(header.n_regions, "checkpoint inference"), params)
         else:
             det = formats.record_to_detections(rec, header)
         if mapping is not None:

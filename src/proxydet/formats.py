@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +117,45 @@ class GtRecord:
 
 @dataclass(eq=False)
 class ImageRecord:
+    """One image: its regions stacked once, in region-id order, plus optional labels.
+
+    ``regions`` is read only by the constructor and may come in any order.
+    Row ``i`` of every array is region ``region_ids[i]``, ids increasing, so
+    score ties fuse in id order. ``features`` and ``pathology_probs`` are None
+    unless every region (at least one) has them; a repeated id is a DataError.
+    """
+
     image_id: str
-    regions: list[RegionRecord]
+    regions: InitVar[list[RegionRecord]]
     gt: GtRecord | None = None
     anatomy_labels: dict[int, list[str]] | None = None
+    region_ids: np.ndarray = field(init=False)  # (R,) int64
+    boxes: np.ndarray = field(init=False)  # (R, 4) corners
+    presence: np.ndarray = field(init=False)  # (R,)
+    features: np.ndarray | None = field(init=False)  # (R, D)
+    pathology_probs: np.ndarray | None = field(init=False)  # (R, C), header class order
+
+    def __post_init__(self, regions: list[RegionRecord]):
+        regions = sorted(regions, key=lambda reg: reg.region_id)
+        ids = [reg.region_id for reg in regions]
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise DataError(f"image {self.image_id!r}: region id {a} appears more than once")
+        self.region_ids = np.array(ids, dtype=np.int64)
+        self.boxes = np.array([reg.box.as_tuple() for reg in regions], dtype=np.float64).reshape(-1, 4)
+        self.presence = np.array([reg.presence for reg in regions], dtype=np.float64)
+        for name in ("features", "pathology_probs"):
+            rows = [getattr(reg, name) for reg in regions]
+            complete = rows and all(row is not None for row in rows)
+            setattr(self, name, np.array(rows, dtype=np.float64) if complete else None)
+
+    def head_features(self, n_regions: int, purpose: str) -> np.ndarray:
+        """The ``(n_regions, D)`` head input; heads number rows by region id, so every id must be here."""
+        if not np.array_equal(self.region_ids, np.arange(n_regions)):
+            raise DataError(f"image {self.image_id!r}: region ids must be exactly 0..{n_regions - 1}")
+        if self.features is None:
+            raise ConfigError(f"image {self.image_id!r}: {purpose} requires region features")
+        return self.features
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -225,12 +260,10 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
             feature_dim, dim_source = header.feature_dim, "header feature_dim"
             class_index = {name: i for i, name in enumerate(header.classes)}
             continue
-        record = _parse_image_record(obj, header, class_index, where)
-        first = first_line.setdefault(record.image_id, line_no)
-        _require(
-            first == line_no, where, f"duplicate image id {record.image_id!r} (first at line {first})"
-        )
-        for i, reg in enumerate(record.regions):
+        _require("image_id" in obj, where, "missing image_id")
+        _require("regions" in obj and isinstance(obj["regions"], list), where, "missing regions array")
+        regions = list(_parse_regions(obj["regions"], header, class_index, where))
+        for i, reg in enumerate(regions):
             if reg.features is None:
                 continue
             if feature_dim is None:
@@ -240,16 +273,20 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
                 f"{where}: regions[{i}]",
                 f"features length {len(reg.features)} != {feature_dim} ({dim_source})",
             )
+        record = _parse_image_record(obj, header, regions, where)
+        first = first_line.setdefault(record.image_id, line_no)
+        _require(
+            first == line_no, where, f"duplicate image id {record.image_id!r} (first at line {first})"
+        )
         records.append(record)
     _require(header is not None, str(path), "empty file (missing header)")
     return replace(header, feature_dim=feature_dim), records
 
 
-def _parse_image_record(obj, header: DatasetHeader, class_index: dict[str, int], where: str) -> ImageRecord:
-    _require("image_id" in obj, where, "missing image_id")
-    _require("regions" in obj and isinstance(obj["regions"], list), where, "missing regions array")
-    regions = []
-    for i, reg in enumerate(obj["regions"]):
+def _parse_regions(rows: list, header: DatasetHeader, class_index: dict[str, int], where: str):
+    """Yield one :class:`RegionRecord` per row, in file order."""
+    n_regions = header.n_regions
+    for i, reg in enumerate(rows):
         rwhere = f"{where}: regions[{i}]"
         _require(isinstance(reg, dict), rwhere, "must be an object")
         _require("region_id" in reg, rwhere, "missing region_id")
@@ -259,23 +296,21 @@ def _parse_image_record(obj, header: DatasetHeader, class_index: dict[str, int],
             rwhere,
             f"region_id must be an integer, got {region_id!r}",
         )
+        _require(0 <= region_id < n_regions, rwhere, f"region_id {region_id} outside 0..{n_regions - 1}")
         presence = _parse_number(reg.get("presence", 1.0), rwhere, "presence")
         _require(0.0 <= presence <= 1.0, rwhere, "presence outside [0, 1]")
-        features = None
-        if reg.get("features") is not None:
-            features = _parse_features(reg["features"], rwhere)
-        probs = None
-        if reg.get("pathology_probs") is not None:
-            probs = _parse_probs(reg["pathology_probs"], class_index, rwhere)
-        regions.append(
-            RegionRecord(
-                region_id=region_id,
-                box=_parse_box(reg.get("box"), rwhere),
-                presence=presence,
-                features=features,
-                pathology_probs=probs,
-            )
+        features, probs = reg.get("features"), reg.get("pathology_probs")
+        # keyword order is parse order: a region's first fault is the one reported
+        yield RegionRecord(
+            region_id=region_id,
+            presence=presence,
+            features=None if features is None else _parse_features(features, rwhere),
+            pathology_probs=None if probs is None else _parse_probs(probs, class_index, rwhere),
+            box=_parse_box(reg.get("box"), rwhere),
         )
+
+
+def _parse_image_record(obj, header: DatasetHeader, regions: list[RegionRecord], where: str) -> ImageRecord:
     gt = None
     if obj.get("gt") is not None:
         gwhere = f"{where}: gt"
@@ -311,13 +346,16 @@ def _parse_image_record(obj, header: DatasetHeader, class_index: dict[str, int],
                 rid = int(key)
             except ValueError as exc:
                 raise DataError(f"{awhere}: region key {key!r} is not an integer") from exc
+            _require(0 <= rid < header.n_regions, awhere, f"region key {key!r} outside 0..{header.n_regions - 1}")
+            _require(rid not in anatomy, awhere, f"region key {key!r} repeats region {rid}")
             _require(isinstance(names, list), awhere, f"classes of region {key!r} must be an array")
             for name in names:
                 _require(name in header.classes, awhere, f"unknown class name {name!r}")
             anatomy[rid] = list(names)
-    return ImageRecord(
-        image_id=str(obj["image_id"]), regions=regions, gt=gt, anatomy_labels=anatomy
-    )
+    try:
+        return ImageRecord(str(obj["image_id"]), regions, gt=gt, anatomy_labels=anatomy)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def write_dataset(path: str | Path, header: DatasetHeader, records: list[ImageRecord]) -> None:
@@ -339,20 +377,14 @@ def write_dataset(path: str | Path, header: DatasetHeader, records: list[ImageRe
 
 
 def _image_record_to_obj(rec: ImageRecord, header: DatasetHeader) -> dict:
-    regions = []
-    for reg in rec.regions:
-        obj: dict = {
-            "region_id": reg.region_id,
-            "box": list(reg.box.as_tuple()),
-            "presence": reg.presence,
-        }
-        if reg.features is not None:
-            obj["features"] = [float(v) for v in reg.features]
-        if reg.pathology_probs is not None:
-            obj["pathology_probs"] = {
-                name: float(p) for name, p in zip(header.classes, reg.pathology_probs)
-            }
-        regions.append(obj)
+    rows = zip(rec.region_ids.tolist(), rec.boxes.tolist(), rec.presence.tolist())
+    regions = [{"region_id": rid, "box": box, "presence": p} for rid, box, p in rows]
+    if rec.features is not None:
+        for obj, row in zip(regions, rec.features.tolist()):
+            obj["features"] = row
+    if rec.pathology_probs is not None:
+        for obj, row in zip(regions, rec.pathology_probs.tolist()):
+            obj["pathology_probs"] = dict(zip(header.classes, row))
     out: dict = {"image_id": rec.image_id, "regions": regions}
     if rec.gt is not None:
         out["gt"] = {
@@ -479,47 +511,24 @@ def read_mapping(path: str | Path) -> ClassMapping:
 # ---------------------------------------------------------------------------
 
 
-def regions_by_id(rec: ImageRecord, n_regions: int) -> list[RegionRecord]:
-    """A record's regions in id order; the ids must be exactly 0..n_regions-1.
-
-    Heads number their rows by region id, so a missing or repeated id
-    would score every later region as its neighbour.
-    """
-    if sorted(reg.region_id for reg in rec.regions) != list(range(n_regions)):
-        raise DataError(
-            f"image {rec.image_id!r}: region ids must be exactly 0..{n_regions - 1}"
-        )
-    by_id = {reg.region_id: reg for reg in rec.regions}
-    return [by_id[i] for i in range(n_regions)]
-
-
 def records_to_train_samples(
     header: DatasetHeader, records: list[ImageRecord]
 ) -> list[TrainSample]:
-    """Build training samples; requires features and uniform region sets.
+    """Build training samples; requires features and every region id 0..n_regions-1.
 
-    Region ids must be exactly 0..n_regions-1 within each record (rows are
-    ordered by region id). Anatomy and image labels are converted to
-    matrices over the header vocabulary where available.
+    Rows are in region-id order, as the record stores them. Anatomy and
+    image labels are converted to matrices over the header vocabulary
+    where available.
     """
     samples = []
     index = {name: i for i, name in enumerate(header.classes)}
     n_classes = len(header.classes)
     for rec in records:
-        ordered = regions_by_id(rec, header.n_regions)
-        if any(reg.features is None for reg in ordered):
-            raise ConfigError(f"image {rec.image_id!r}: training requires region features")
-        features = np.stack([reg.features for reg in ordered])
-        boxes = corner_to_center_batch([reg.box.as_tuple() for reg in ordered])
-        present = np.array([reg.presence >= 0.5 for reg in ordered])
+        features = rec.head_features(header.n_regions, "training")
         anatomy = None
         if rec.anatomy_labels is not None:
             anatomy = np.zeros((header.n_regions, n_classes))
             for rid, names in rec.anatomy_labels.items():
-                if rid not in range(header.n_regions):
-                    raise DataError(
-                        f"image {rec.image_id!r}: anatomy_labels references unknown region {rid}"
-                    )
                 for name in names:
                     anatomy[rid, index[name]] = 1.0
         image_labels = None
@@ -530,8 +539,8 @@ def records_to_train_samples(
         samples.append(
             TrainSample(
                 features=features,
-                target_boxes=boxes,
-                present=present,
+                target_boxes=corner_to_center_batch(rec.boxes),
+                present=rec.presence >= 0.5,
                 anatomy_labels=anatomy,
                 image_labels=image_labels,
             )
@@ -540,19 +549,14 @@ def records_to_train_samples(
 
 
 def record_to_detections(rec: ImageRecord, header: DatasetHeader) -> RegionDetections:
-    """Stack a record's stored boxes, presence and probabilities in file order (no model)."""
-    for reg in rec.regions:
-        if reg.pathology_probs is None:
-            raise ConfigError(
-                f"image {rec.image_id!r}: region {reg.region_id} has no pathology_probs; "
-                "provide a checkpoint or store probabilities in the dataset"
-            )
-    n, c = len(rec.regions), len(header.classes)
-    return RegionDetections(
-        np.array([reg.box.as_tuple() for reg in rec.regions]).reshape(n, 4),
-        np.array([reg.presence for reg in rec.regions]),
-        np.array([reg.pathology_probs for reg in rec.regions]).reshape(n, c),
-    )
+    """A record's stored boxes, presence and probabilities in region-id order (no model)."""
+    if rec.pathology_probs is None and len(rec.region_ids):
+        raise ConfigError(
+            f"image {rec.image_id!r}: not every region has pathology_probs; "
+            "provide a checkpoint or store probabilities in the dataset"
+        )
+    probs = np.zeros((0, len(header.classes))) if rec.pathology_probs is None else rec.pathology_probs
+    return RegionDetections(rec.boxes, rec.presence, probs)
 
 
 def ground_truth_from_records(

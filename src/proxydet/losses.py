@@ -41,6 +41,14 @@ logger = logging.getLogger(__name__)
 _LOG_EPS = 1e-8
 
 
+def _check_fields(params, rule: str, ok: Callable[[float], bool], *names: str) -> None:
+    """Raise ConfigError naming the first of ``names`` that is NaN, infinite or not ``rule``."""
+    for name in names:
+        value = getattr(params, name)
+        if not (np.isfinite(value) and ok(value)):
+            raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # asymmetric loss
 # ---------------------------------------------------------------------------
@@ -61,12 +69,9 @@ class AslParams:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise ConfigError("focusing exponents must be >= 0")
-        if not 0.0 <= self.clip < 1.0:
-            raise ConfigError("clip must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        _check_fields(self, ">= 0", lambda v: v >= 0.0, "gamma_pos", "gamma_neg")
+        _check_fields(self, "in [0, 1)", lambda v: 0.0 <= v < 1.0, "clip")
+        _check_fields(self, "> 0", lambda v: v > 0.0, "eps")
 
 
 def asl(p, y, params: AslParams = AslParams()):
@@ -134,8 +139,7 @@ class LsePoolParams:
     r: float = 10.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ConfigError("pooling sharpness r must be > 0")
+        _check_fields(self, "> 0", lambda v: v > 0.0, "r")
 
 
 def _one_column(values) -> np.ndarray:
@@ -198,8 +202,7 @@ class DetectionLossParams:
     presence_weight: float = 1.0
 
     def __post_init__(self):
-        if min(self.l1_weight, self.giou_weight, self.presence_weight) < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        _check_fields(self, ">= 0", lambda v: v >= 0.0, "l1_weight", "giou_weight", "presence_weight")
 
 
 @dataclass(frozen=True)
@@ -476,8 +479,7 @@ class CombinedLossWeights:
     asl_weight: float = 0.01
 
     def __post_init__(self):
-        if self.asl_weight < 0:
-            raise ConfigError("asl_weight must be >= 0")
+        _check_fields(self, ">= 0", lambda v: v >= 0.0, "asl_weight")
 
 
 def combined_loss(detection: float, asl_like: float, weights: CombinedLossWeights = CombinedLossWeights()) -> float:

@@ -273,6 +273,22 @@ class TestBadConfigValues:
         assert captured.err.startswith("error: ") and not captured.out
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lse-r", "nan", "r must be finite and > 0, got nan"),
+            ("--l1-weight", "nan", "l1_weight must be finite and >= 0, got nan"),
+            ("--asl-weight", "nan", "asl_weight must be finite and >= 0, got nan"),
+            ("--asl-gamma-neg", "nan", "gamma_neg must be finite and >= 0, got nan"),
+            ("--giou-weight", "inf", "giou_weight must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_non_finite_loss_setting_named(self, small_run, tmp_path, capsys, flag, value, message):
+        argv = ["--data", small_run[0], "--mode", "loc", "--max-steps", 1, "--checkpoint-out", tmp_path / "ck"]
+        assert _run("train", *argv, flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestFeatureLength:
     """Every region of a dataset file has one feature length."""
@@ -295,6 +311,90 @@ class TestFeatureLength:
         assert _run("train", "--data", data, "--checkpoint-out", tmp_path / "ck") == 2
         err = capsys.readouterr().err
         assert where in err and "features length 2 != 3" in err
+
+
+def _two_region_file(path, ids, anatomy=None) -> None:
+    """A two-class, two-region dataset with one image whose regions carry ``ids`` in file order.
+
+    Both regions score 0.6 for class "a", so their candidates tie.
+    """
+    rows = [
+        {"region_id": ids[0], "box": [0.1, 0.1, 0.5, 0.5], "pathology_probs": {"a": 0.6, "b": 0.2}},
+        {"region_id": ids[1], "box": [0.2, 0.1, 0.6, 0.5], "pathology_probs": {"a": 0.6, "b": 0.4}},
+    ]
+    record = {"image_id": "img", "regions": rows}
+    if anatomy is not None:
+        record["anatomy_labels"] = anatomy
+    header = {"kind": "dataset", "version": 1, "classes": ["a", "b"], "n_regions": 2}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+
+
+class TestRegionIds:
+    """Region ids are unique and in 0..n_regions-1; rows are kept and fused in id order."""
+
+    def _infer(self, data, out, *extra) -> int:
+        return _run("infer", "--data", data, "--probs-from-file", "--score-rescale", *extra, "--out", out)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((0, 0), "bad.jsonl:2: image 'img': region id 0 appears more than once"),
+            ((0, 99), "bad.jsonl:2: regions[1]: region_id 99 outside 0..1"),
+            ((-1, 1), "bad.jsonl:2: regions[0]: region_id -1 outside 0..1"),
+        ],
+        ids=["repeated", "99", "negative"],
+    )
+    def test_bad_region_id_rejected(self, tmp_path, capsys, ids, message):
+        data, out = tmp_path / "bad.jsonl", tmp_path / "p.jsonl"
+        _two_region_file(data, ids)
+        assert self._infer(data, out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "anatomy, message",
+        [
+            ({"1": ["a"], "01": ["b"]}, "anatomy_labels: region key '01' repeats region 1"),
+            ({"2": ["a"]}, "anatomy_labels: region key '2' outside 0..1"),
+        ],
+        ids=["repeated", "out-of-range"],
+    )
+    def test_bad_anatomy_key_rejected(self, tmp_path, capsys, anatomy, message):
+        data = tmp_path / "bad.jsonl"
+        _two_region_file(data, (0, 1), anatomy)
+        assert self._infer(data, tmp_path / "p.jsonl") == 2
+        assert f"bad.jsonl:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["fused", "unfused", "mapped"])
+    def test_file_order_does_not_change_the_predictions(self, tmp_path, setting):
+        mapping = tmp_path / "map.json"
+        mapping.write_text('{"ab": {"sources": ["a", "b"], "combiner": "max"}}')
+        extra = {"fused": [], "unfused": ["--wbf-iou", 1.0], "mapped": ["--mapping", mapping]}[setting]
+        forward, reverse = tmp_path / "forward.jsonl", tmp_path / "reverse.jsonl"
+        _two_region_file(forward, (0, 1))
+        lines = forward.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["regions"].reverse()  # region 0 keeps its box and scores, now last in the file
+        reverse.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        assert self._infer(forward, tmp_path / "forward_pred.jsonl", *extra) == 0
+        assert self._infer(reverse, tmp_path / "reverse_pred.jsonl", *extra) == 0
+        assert (tmp_path / "forward_pred.jsonl").read_bytes() == (tmp_path / "reverse_pred.jsonl").read_bytes()
+        if setting == "unfused":
+            # the tied class-"a" candidates are taken in region-id order
+            _, preds = formats.read_predictions(tmp_path / "reverse_pred.jsonl")
+            assert preds["img"][0].box == Box(0.1, 0.1, 0.5, 0.5)
+
+    def test_file_order_does_not_change_the_checkpoint_predictions(self, five_images, tmp_path):
+        data, ckpt = five_images
+        reverse = tmp_path / "reverse.jsonl"
+        lines = data.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            record["regions"].reverse()
+        reverse.write_text("\n".join([lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        for name, source in (("forward_pred.jsonl", data), ("reverse_pred.jsonl", reverse)):
+            assert _run("infer", "--data", source, "--checkpoint", ckpt, "--out", tmp_path / name) == 0
+        assert (tmp_path / "forward_pred.jsonl").read_bytes() == (tmp_path / "reverse_pred.jsonl").read_bytes()
 
 
 class TestDuplicateImageId:

@@ -56,11 +56,10 @@ class TestDatasetRoundTrip:
         assert len(records2) == len(records)
         for a, b in zip(records, records2):
             assert a.image_id == b.image_id
-            for ra, rb in zip(a.regions, b.regions):
-                assert ra.region_id == rb.region_id
-                assert ra.box == rb.box
-                assert ra.presence == rb.presence
-                assert np.array_equal(ra.features, rb.features)
+            assert np.array_equal(a.region_ids, b.region_ids)
+            assert np.array_equal(a.boxes, b.boxes)
+            assert np.array_equal(a.presence, b.presence)
+            assert np.array_equal(a.features, b.features)
             assert a.gt.boxes == b.gt.boxes
             assert a.gt.image_labels == b.gt.image_labels
             assert a.anatomy_labels == b.anatomy_labels
@@ -98,7 +97,7 @@ class TestDatasetRoundTrip:
     def test_probability_columns_follow_the_header_in_every_record(self, tmp_path):
         path = _probs_dataset(tmp_path, [{"b": 0.25}, {"a": 0.5, "b": 1.0}, {}])
         _, records = formats.read_dataset(path)
-        assert [r.regions[0].pathology_probs.tolist() for r in records] == [[0.0, 0.25], [0.5, 1.0], [0.0, 0.0]]
+        assert [r.pathology_probs[0].tolist() for r in records] == [[0.0, 0.25], [0.5, 1.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize(
         "probs, message",
@@ -303,6 +302,68 @@ class TestMapping:
             formats.read_mapping(path)
 
 
+class TestImageRecord:
+    """A record stacks its regions once, in region-id order."""
+
+    def _regions(self, ids, with_features=True):
+        return [
+            formats.RegionRecord(
+                rid,
+                Box(0.1 * rid, 0.0, 0.1 * rid + 0.1, 0.5),
+                rid / 10.0,
+                features=np.full(3, float(rid)) if with_features else None,
+                pathology_probs=np.array([rid / 10.0, 1.0 - rid / 10.0]),
+            )
+            for rid in ids
+        ]
+
+    def test_rows_follow_region_id_whatever_the_given_order(self):
+        rec = formats.ImageRecord("img", self._regions([2, 0, 1]))
+        assert rec.region_ids.tolist() == [0, 1, 2]
+        assert rec.boxes.tolist() == [[0.0, 0.0, 0.1, 0.5], [0.1, 0.0, 0.2, 0.5], [0.2, 0.0, 0.30000000000000004, 0.5]]
+        assert rec.presence.tolist() == [0.0, 0.1, 0.2]
+        assert rec.features[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert rec.pathology_probs.shape == (3, 2)
+
+    def test_repeated_region_id_names_the_image(self):
+        with pytest.raises(DataError, match=r"^image 'img': region id 1 appears more than once$"):
+            formats.ImageRecord("img", self._regions([1, 0, 1]))
+
+    def test_optional_arrays_need_every_region(self):
+        regions = self._regions([0, 1]) + self._regions([2], with_features=False)
+        rec = formats.ImageRecord("img", regions)
+        assert rec.features is None and rec.pathology_probs.shape == (3, 2)
+
+    def test_no_regions(self):
+        rec = formats.ImageRecord("img", [])
+        assert rec.region_ids.shape == (0,) and rec.boxes.shape == (0, 4) and rec.presence.shape == (0,)
+        assert rec.features is None and rec.pathology_probs is None
+        header = formats.DatasetHeader(classes=("a", "b", "c"), n_regions=2)
+        assert formats.record_to_detections(rec, header).pathology_probs.shape == (0, 3)
+
+    def test_writer_emits_rows_in_region_id_order(self, tmp_path):
+        header = formats.DatasetHeader(classes=("a", "b"), n_regions=3, feature_dim=3)
+        shuffled, ordered = tmp_path / "shuffled.jsonl", tmp_path / "ordered.jsonl"
+        formats.write_dataset(shuffled, header, [formats.ImageRecord("img", self._regions([2, 0, 1]))])
+        formats.write_dataset(ordered, header, [formats.ImageRecord("img", self._regions([0, 1, 2]))])
+        assert shuffled.read_bytes() == ordered.read_bytes()
+        rows = json.loads(ordered.read_text().splitlines()[1])["regions"]
+        assert [row["region_id"] for row in rows] == [0, 1, 2]
+
+    @pytest.mark.parametrize("ids, n_regions", [([0, 2], 3), ([0, 1, 2], 2), ([1, 2], 2)])
+    def test_every_region_id_needed_for_the_heads(self, ids, n_regions):
+        rec = formats.ImageRecord("img", self._regions(ids))
+        with pytest.raises(DataError, match=rf"^image 'img': region ids must be exactly 0\.\.{n_regions - 1}$"):
+            rec.head_features(n_regions, "training")
+
+    def test_head_features_are_the_stacked_rows(self):
+        rec = formats.ImageRecord("img", self._regions([1, 0]))
+        assert rec.head_features(2, "training") is rec.features
+        rec = formats.ImageRecord("img", self._regions([1, 0], with_features=False))
+        with pytest.raises(ConfigError, match="image 'img': training requires region features"):
+            rec.head_features(2, "training")
+
+
 class TestTrainSampleConversion:
     def test_matrices_built_correctly(self, tmp_path):
         cfg, header, records, _ = _sample_dataset(tmp_path)
@@ -316,14 +377,13 @@ class TestTrainSampleConversion:
 
     def test_features_required(self, tmp_path):
         _, header, records, _ = _sample_dataset(tmp_path)
-        for reg in records[0].regions:
-            reg.features = None
+        records[0].features = None
         with pytest.raises(ConfigError, match="features"):
             formats.records_to_train_samples(header, records)
 
     def test_region_id_coverage_enforced(self, tmp_path):
         _, header, records, _ = _sample_dataset(tmp_path)
-        records[0].regions[0].region_id = 99
+        records[0].region_ids[0] = 99
         with pytest.raises(DataError, match="region ids"):
             formats.records_to_train_samples(header, records)
 

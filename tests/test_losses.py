@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from proxydet.errors import ConfigError
 from proxydet.losses import (
     AslParams,
     CombinedLossWeights,
@@ -326,6 +327,35 @@ class TestCombinedLoss:
     def test_validation(self):
         with pytest.raises(ValueError):
             CombinedLossWeights(asl_weight=-0.1)
+
+
+class TestLossSettings:
+    """Every loss setting is checked by name; NaN and infinity are rejected like a bad range."""
+
+    @pytest.mark.parametrize(
+        "cls, name, out_of_range",
+        [
+            (AslParams, "gamma_pos", -1.0),
+            (AslParams, "gamma_neg", -1.0),
+            (AslParams, "clip", 1.0),
+            (AslParams, "eps", 0.0),
+            (LsePoolParams, "r", 0.0),
+            (DetectionLossParams, "l1_weight", -1.0),
+            (DetectionLossParams, "giou_weight", -1.0),
+            (DetectionLossParams, "presence_weight", -1.0),
+            (CombinedLossWeights, "asl_weight", -0.1),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "range"])
+    def test_bad_value_named(self, cls, name, out_of_range, kind):
+        value = out_of_range if kind == "range" else float(kind)
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite and .*, got {value!r}$"):
+            cls(**{name: value})
+
+    def test_boundaries_allowed(self):
+        AslParams(gamma_pos=0.0, gamma_neg=0.0, clip=0.0)
+        DetectionLossParams(l1_weight=0.0, giou_weight=0.0, presence_weight=0.0)
+        CombinedLossWeights(asl_weight=0.0)
 
 
 class TestFiniteDifferenceCheck:
