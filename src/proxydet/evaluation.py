@@ -3,9 +3,11 @@
 The evaluation regime assumes at most one ground-truth box per class per
 image and top-1 predictions per class per image (the upstream pipeline
 keeps only the highest-scored fused box per pathology). AP uses all-point
-interpolation; predictions are ranked by score with ties broken by image
-id, and a prediction is a true positive iff its image has a ground-truth
-box of the class with IoU at or above the matching threshold.
+interpolation, as in PASCAL VOC; predictions are ranked by score with ties
+broken by image id, and a prediction is a true positive iff its image has
+a ground-truth box of the class with IoU at or above the matching
+threshold. A class's mAP is its mean AP over the thresholds; overall mAP
+is the macro mean over classes.
 
 Localization accuracy counts an image as correct when a fired prediction
 (score at or above the firing threshold) overlaps the ground truth
@@ -16,15 +18,26 @@ available behind a flag.
 Classes with zero ground-truth boxes have undefined AP: they are reported
 as absent and excluded from macro means. Localization accuracy is defined
 for every class and averaged over all of them.
+
+Everything runs on arrays: :class:`GroundTruth` stacks its boxes once, and
+one IoU vector scores a table of all predictions. Per class, one sort by
+(-score, image id in Python string order) gives every threshold at once as
+a (T, K) true-positive matrix. AP terms and every mean are summed strictly
+left to right, so report bits match the scalar loops (``evaluate_ref`` in
+the tests) on every Python version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .geometry import Box, iou
+from .geometry import Box, iou_batch
 from .inference import PathologyBox
 
 DEFAULT_IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -61,8 +74,40 @@ class GtImage:
 
 @dataclass(eq=False)
 class GroundTruth:
-    images: dict[str, GtImage]
+    """Ground truth stacked once: one row per image, in the order given.
+
+    ``images`` is read only by the constructor. Row ``i`` is image
+    ``image_ids[i]``: ``boxes[i, c]`` is its box of class ``c`` where
+    ``has_box[i, c]`` and the zero box elsewhere, and ``id_rank[i]`` is the
+    id's place in sorted order, which breaks score ties. A box key outside
+    ``0..n_classes-1`` is a DataError.
+    """
+
+    images: InitVar[dict[str, GtImage]]
     n_classes: int
+    image_ids: tuple[str, ...] = field(init=False)
+    row_of: dict[str, int] = field(init=False)  # image id -> row
+    boxes: np.ndarray = field(init=False)  # (N, C, 4) corners
+    has_box: np.ndarray = field(init=False)  # (N, C) bool
+    id_rank: np.ndarray = field(init=False)  # (N,) int64
+
+    def __post_init__(self, images: dict[str, GtImage]):
+        self.image_ids = tuple(images)
+        n = len(self.image_ids)
+        self.row_of = {image_id: i for i, image_id in enumerate(self.image_ids)}
+        self.boxes = np.zeros((n, self.n_classes, 4))
+        self.has_box = np.zeros((n, self.n_classes), dtype=bool)
+        for i, (image_id, img) in enumerate(images.items()):
+            for cls, box in img.boxes.items():
+                if not 0 <= cls < self.n_classes:
+                    raise DataError(
+                        f"image {image_id!r}: ground-truth class id {cls} "
+                        f"outside 0..{self.n_classes - 1}"
+                    )
+                self.boxes[i, cls] = box.as_tuple()
+                self.has_box[i, cls] = True
+        self.id_rank = np.empty(n, dtype=np.int64)
+        self.id_rank[sorted(range(n), key=self.image_ids.__getitem__)] = np.arange(n)
 
 
 @dataclass(eq=False)
@@ -85,6 +130,40 @@ class EvalReport:
     counts: ReportCounts
 
 
+def _mean(values: list[float]) -> float | None:
+    """Left-to-right sum over the count; None when empty.
+
+    Builtin ``sum`` compensates its rounding from Python 3.12 on, which
+    would make report bits depend on the interpreter version.
+    """
+    return reduce(add, values, 0.0) / len(values) if values else None
+
+
+def _class_ap(
+    scores: np.ndarray,
+    id_rank: np.ndarray,
+    ious: np.ndarray,
+    matched: np.ndarray,
+    n_gt: int,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """All-point interpolated AP of one class's K predictions at each of T thresholds.
+
+    ``matched`` marks predictions whose image has a ground-truth box of the
+    class and ``ious`` their IoU with it; ``n_gt`` must be positive.
+    """
+    order = np.lexsort((id_rank, -scores))
+    tp = matched[order] & (ious[order] >= thresholds[:, None])  # (T, K)
+    cum = np.cumsum(tp, axis=1)
+    precision = cum / np.arange(1, len(order) + 1)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    # a true positive lifts recall from (cum - 1) / n_gt, the previous true
+    # positive's recall; the leading zero column starts each sum at 0.0
+    terms = np.zeros((len(thresholds), len(order) + 1))
+    terms[:, 1:] = np.where(tp, (cum / n_gt - (cum - 1) / n_gt) * envelope, 0.0)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
 def average_precision(
     predictions: Sequence[tuple[str, Box, float]],
     gt_boxes: Mapping[str, Box],
@@ -97,123 +176,20 @@ def average_precision(
     Returns ``None`` when the class has no ground-truth boxes (AP
     undefined).
     """
-    n_gt = len(gt_boxes)
-    if n_gt == 0:
+    if not gt_boxes:
         return None
-    if not predictions:
-        return 0.0
-    ranked = sorted(predictions, key=lambda t: (-t[2], t[0]))
-    tp = [
-        image_id in gt_boxes and iou(box, gt_boxes[image_id]) >= iou_threshold
-        for image_id, box, _ in ranked
+    rank = {image_id: i for i, image_id in enumerate(sorted({t[0] for t in predictions}))}
+    no_box = Box(0.0, 0.0, 0.0, 0.0)
+    # one row per prediction: score, id rank, has ground truth, its box, the ground-truth box
+    rows = [
+        (score, rank[i], i in gt_boxes, *box.as_tuple(), *gt_boxes.get(i, no_box).as_tuple())
+        for i, box, score in predictions
     ]
-    # precision at each rank, then the running max from the right
-    # (all-point interpolation envelope)
-    n = len(ranked)
-    cum = 0
-    precision = []
-    recall = []
-    for k, hit in enumerate(tp, start=1):
-        cum += int(hit)
-        precision.append(cum / k)
-        recall.append(cum / n_gt)
-    envelope = [0.0] * n
-    running = 0.0
-    for k in range(n - 1, -1, -1):
-        running = max(running, precision[k])
-        envelope[k] = running
-    ap = 0.0
-    prev_recall = 0.0
-    for k in range(n):
-        if tp[k]:
-            ap += (recall[k] - prev_recall) * envelope[k]
-            prev_recall = recall[k]
-    return ap
-
-
-def _class_predictions(
-    predictions: Mapping[str, Sequence[PathologyBox]], class_id: int
-) -> list[tuple[str, Box, float]]:
-    out = []
-    for image_id in predictions:
-        for p in predictions[image_id]:
-            if p.class_id == class_id:
-                out.append((image_id, p.box, p.score))
-    return out
-
-
-def _class_gt(gt: GroundTruth, class_id: int) -> dict[str, Box]:
-    return {
-        image_id: img.boxes[class_id]
-        for image_id, img in gt.images.items()
-        if class_id in img.boxes
-    }
-
-
-def mean_ap(
-    predictions: Mapping[str, Sequence[PathologyBox]],
-    gt: GroundTruth,
-    cfg: EvalConfig = EvalConfig(),
-) -> tuple[dict[int, dict[float, float | None]], dict[int, float | None], float | None]:
-    """AP per class and threshold, per-class mAP, and the overall macro mAP.
-
-    Per-class mAP is the mean of that class's AP over the configured IoU
-    thresholds; overall mAP is the macro mean over classes that have
-    ground truth.
-    """
-    ap: dict[int, dict[float, float | None]] = {}
-    class_map: dict[int, float | None] = {}
-    for cls in range(gt.n_classes):
-        preds = _class_predictions(predictions, cls)
-        boxes = _class_gt(gt, cls)
-        per_thr = {t: average_precision(preds, boxes, t) for t in cfg.iou_thresholds}
-        ap[cls] = per_thr
-        values = [v for v in per_thr.values() if v is not None]
-        class_map[cls] = sum(values) / len(values) if values else None
-    defined = [v for v in class_map.values() if v is not None]
-    overall = sum(defined) / len(defined) if defined else None
-    return ap, class_map, overall
-
-
-def localization_accuracy(
-    predictions: Mapping[str, Sequence[PathologyBox]],
-    gt: GroundTruth,
-    class_id: int,
-    iou_threshold: float,
-    score_threshold: float,
-    positives_only: bool = False,
-) -> float | None:
-    """Fraction of images judged correct for one class.
-
-    A prediction fires when its score is at or above ``score_threshold``.
-    An image with a ground-truth box is correct iff a fired prediction
-    overlaps it with IoU at or above ``iou_threshold``; an image without
-    one is correct iff nothing fires. With ``positives_only`` the
-    denominator is restricted to images that have the box (returns None
-    when there are none).
-    """
-    by_image: dict[str, PathologyBox] = {}
-    for image_id in predictions:
-        for p in predictions[image_id]:
-            if p.class_id == class_id:
-                by_image[image_id] = p
-    correct = 0
-    considered = 0
-    for image_id, img in gt.images.items():
-        pred = by_image.get(image_id)
-        fired = pred is not None and pred.score >= score_threshold
-        gt_box = img.boxes.get(class_id)
-        if gt_box is not None:
-            considered += 1
-            if fired and iou(pred.box, gt_box) >= iou_threshold:
-                correct += 1
-        elif not positives_only:
-            considered += 1
-            if not fired:
-                correct += 1
-    if considered == 0:
-        return None
-    return correct / considered
+    table = np.array(rows, dtype=np.float64).reshape(-1, 11)
+    ious = iou_batch(table[:, 3:7], table[:, 7:])
+    thresholds = np.array([iou_threshold], dtype=np.float64)
+    ap = _class_ap(table[:, 0], table[:, 1], ious, table[:, 2] > 0.0, len(gt_boxes), thresholds)
+    return float(ap[0])
 
 
 def evaluate(
@@ -227,56 +203,76 @@ def evaluate(
     ``predictions`` maps image ids (all of which must exist in the ground
     truth) to top-1-per-class pathology boxes.
     """
-    unknown = sorted(set(predictions) - set(gt.images))
+    unknown = sorted(set(predictions) - gt.row_of.keys())
     if unknown:
         raise DataError(f"predictions reference unknown image id(s): {unknown[:10]}")
-    for image_id in predictions:
+    # the one pass over single predictions: image row, class, score and corners
+    entries = []
+    for image_id, boxes in predictions.items():
+        row = gt.row_of[image_id]
         seen: set[int] = set()
-        for p in predictions[image_id]:
-            if p.class_id in seen:
-                raise DataError(
-                    f"image {image_id!r}: more than one prediction for class {p.class_id}"
-                )
-            seen.add(p.class_id)
-
-    ap, class_map, overall = mean_ap(predictions, gt, cfg)
-
-    loc_acc: dict[int, dict[float, float]] = {}
-    for cls in range(gt.n_classes):
-        loc_acc[cls] = {}
-        for t in cfg.locacc_iou_thresholds:
-            acc = localization_accuracy(
-                predictions,
-                gt,
-                cls,
-                t,
-                cfg.locacc_score_threshold,
-                cfg.locacc_positives_only,
-            )
-            if acc is not None:
-                loc_acc[cls][t] = acc
-    loc_acc_macro = {}
-    for t in cfg.locacc_iou_thresholds:
-        vals = [loc_acc[cls][t] for cls in loc_acc if t in loc_acc[cls]]
-        if vals:
-            loc_acc_macro[t] = sum(vals) / len(vals)
-
+        for p in boxes:
+            cls = p.class_id
+            if cls in seen:
+                raise DataError(f"image {image_id!r}: more than one prediction for class {cls}")
+            seen.add(cls)
+            entries.append((row, cls, p.score, *p.box.as_tuple()))
+    table = np.array(entries, dtype=np.float64).reshape(-1, 7)
+    cid = table[:, 1]  # a fractional or out-of-range class id would index some other class
+    bad = np.flatnonzero((cid != np.floor(cid)) | (cid < 0) | (cid >= gt.n_classes))
+    if len(bad):
+        row, cls = entries[bad[0]][:2]
+        raise DataError(f"image {gt.image_ids[row]!r}: prediction class id {cls!r} is not in 0..{gt.n_classes - 1}")
+    rows, classes = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+    scores, corners = table[:, 2], table[:, 3:]
     names = tuple(class_names) if class_names is not None else tuple(
         f"class_{i}" for i in range(gt.n_classes)
     )
     if len(names) != gt.n_classes:
         raise ValueError("class_names length disagrees with ground truth")
-    counts = ReportCounts(
-        images=len(gt.images),
-        gt_boxes=sum(len(img.boxes) for img in gt.images.values()),
-        predictions=sum(len(v) for v in predictions.values()),
-    )
+    matched = gt.has_box[rows, classes]
+    ious = iou_batch(corners, gt.boxes[rows, classes])
+    n_gt = gt.has_box.sum(axis=0)
+
+    # a repeated threshold is one report key, as in a dict built from the tuple
+    thresholds = tuple(dict.fromkeys(cfg.iou_thresholds))
+    thr = np.array(thresholds, dtype=np.float64)
+    ap: dict[int, dict[float, float | None]] = {}
+    class_map: dict[int, float | None] = {}
+    for cls in range(gt.n_classes):
+        values: list[float] = []
+        if n_gt[cls]:
+            sel = classes == cls
+            args = scores[sel], gt.id_rank[rows[sel]], ious[sel], matched[sel], int(n_gt[cls]), thr
+            values = _class_ap(*args).tolist()
+        ap[cls] = dict(zip(thresholds, values)) if values else dict.fromkeys(thresholds)
+        class_map[cls] = _mean(values)
+
+    la_thresholds = tuple(dict.fromkeys(cfg.locacc_iou_thresholds))
+    fired = np.zeros(gt.has_box.shape, dtype=bool)
+    fired[rows, classes] = scores >= cfg.locacc_score_threshold
+    overlap = np.zeros(gt.has_box.shape)
+    overlap[rows, classes] = ious
+    la_thr = np.array(la_thresholds, dtype=np.float64)[:, None, None]
+    correct = (gt.has_box & fired & (overlap >= la_thr)).sum(axis=1)  # (T, C)
+    if cfg.locacc_positives_only:
+        considered = n_gt
+    else:
+        correct = correct + (~gt.has_box & ~fired).sum(axis=0)
+        considered = np.full(gt.n_classes, len(gt.image_ids))
+    defined = np.flatnonzero(considered).tolist()
+    acc = correct[:, defined] / considered[defined]  # (T, classes with a denominator)
+    loc_acc: dict[int, dict[float, float]] = {cls: {} for cls in range(gt.n_classes)}
+    for j, cls in enumerate(defined):
+        loc_acc[cls] = dict(zip(la_thresholds, acc[:, j].tolist()))
+    loc_acc_macro = {t: _mean(row) for t, row in zip(la_thresholds, acc.tolist()) if row}
+
     return EvalReport(
         class_names=names,
         ap=ap,
         class_map=class_map,
-        overall_map=overall,
+        overall_map=_mean([v for v in class_map.values() if v is not None]),
         loc_acc=loc_acc,
         loc_acc_macro=loc_acc_macro,
-        counts=counts,
+        counts=ReportCounts(len(gt.image_ids), int(n_gt.sum()), len(rows)),
     )

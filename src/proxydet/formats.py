@@ -529,6 +529,8 @@ def records_to_train_samples(
         if rec.anatomy_labels is not None:
             anatomy = np.zeros((header.n_regions, n_classes))
             for rid, names in rec.anatomy_labels.items():
+                outside = f"anatomy_labels key {rid} outside 0..{header.n_regions - 1}"
+                _require(0 <= rid < header.n_regions, f"image {rec.image_id!r}", outside)
                 for name in names:
                     anatomy[rid, index[name]] = 1.0
         image_labels = None

@@ -115,7 +115,7 @@ def _fuse(cands: ScoredBoxes, cfg: FusionConfig) -> ScoredBoxes:
         if t == 0:
             continue  # a group's first candidate always opens a cluster
         cand, clusters = state[:, :a, t, None], state[:, :a, :t]
-        # geometry.iou's float operations in its order, candidate first
+        # geometry.iou_batch's float operations in its order, candidate first
         overlap = np.minimum(cand[2:4], clusters[2:4])
         overlap -= np.maximum(cand[0:2], clusters[0:2])
         np.maximum(overlap, 0.0, out=overlap)

@@ -7,11 +7,12 @@ rules instead (zero-union IoU is 0, GIoU of two zero-area boxes is an
 error).
 
 :class:`Box` is the corner box that files, fusion and the metrics pass
-around. GIoU, its gradient and the center/size <-> corner conversions
-exist only as ``*_batch`` functions on ``(N, 4)`` float arrays, the form
-the loss code, gradcheck and the file converters use. Scalar :func:`iou`
-scores one pair at a time (matching in evaluation); fusion runs its float
-operations, in the same order, on whole arrays of candidates and clusters.
+around. IoU, GIoU, its gradient and the center/size <-> corner conversions
+exist as ``*_batch`` functions on ``(N, 4)`` float arrays, the form the
+loss code, gradcheck, evaluation and the file converters use; scalar
+:func:`iou` is a one-row call of :func:`iou_batch`. Fusion runs the same
+float operations, in the same order, on whole arrays of candidates and
+clusters.
 """
 
 from __future__ import annotations
@@ -58,18 +59,8 @@ class Box:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes.
-
-    Returns 0.0 when the union has zero area (both boxes degenerate), so
-    downstream fusion and metrics never see NaN.
-    """
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(0.0, ix) * max(0.0, iy)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    """Intersection over union of two boxes: one row of :func:`iou_batch`."""
+    return float(iou_batch(np.array([a.as_tuple()]), np.array([b.as_tuple()]))[0])
 
 
 def _coordinate_rows(a: np.ndarray) -> np.ndarray:
@@ -79,6 +70,17 @@ def _coordinate_rows(a: np.ndarray) -> np.ndarray:
     columns of ``a``; the float operations and results are the same.
     """
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64).T)
+
+
+def iou_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise IoU for ``(K, 4)`` corner arrays; 0.0, never NaN, where the union has zero area."""
+    ax1, ay1, ax2, ay2 = _coordinate_rows(a)
+    bx1, by1, bx2, by2 = _coordinate_rows(b)
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.maximum(0.0, ix) * np.maximum(0.0, iy)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
 def giou_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

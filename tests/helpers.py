@@ -5,14 +5,15 @@ counting, exhaustive enumeration, rank statistics) so it stays
 independent of the library code it checks. The fusion, class-mapping and
 candidate references are the sequential definitions the array code in
 ``proxydet`` must reproduce bit for bit, as are the per-pair GIoU and
-center/size conversion, the per-column GIoU gradient and the
-array-by-array training loop.
+center/size conversion, the per-column GIoU gradient, the
+array-by-array training loop and the per-class, per-threshold evaluator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from proxydet.evaluation import EvalConfig, EvalReport, GtImage, ReportCounts
 from proxydet.fusion import FusionConfig, ScoredBox
 from proxydet.geometry import Box
 from proxydet.head import Batch, HeadParams, TrainConfig, TrainSample, batch_loss_and_grads, init_head_params
@@ -220,6 +221,122 @@ def wbf_ref(boxes: list[ScoredBox], cfg: FusionConfig) -> list[ScoredBox]:
     ]
     fused.sort(key=lambda sb: (-sb.score, sb.source_index))
     return fused
+
+
+def average_precision_ref(
+    predictions: list[tuple[str, Box, float]],
+    gt_boxes: dict[str, Box],
+    iou_threshold: float,
+) -> float | None:
+    """All-point interpolated AP for one class at one threshold, one rank at a time.
+
+    Ranks by (-score, image id); precision and recall per rank, the
+    running-max envelope from the right, then the recall steps of the true
+    positives added left to right.
+    """
+    n_gt = len(gt_boxes)
+    if n_gt == 0:
+        return None
+    if not predictions:
+        return 0.0
+    ranked = sorted(predictions, key=lambda t: (-t[2], t[0]))
+    tp = [
+        image_id in gt_boxes and iou_ref(box, gt_boxes[image_id]) >= iou_threshold
+        for image_id, box, _ in ranked
+    ]
+    n = len(ranked)
+    cum = 0
+    precision = []
+    recall = []
+    for k, hit in enumerate(tp, start=1):
+        cum += int(hit)
+        precision.append(cum / k)
+        recall.append(cum / n_gt)
+    envelope = [0.0] * n
+    running = 0.0
+    for k in range(n - 1, -1, -1):
+        running = max(running, precision[k])
+        envelope[k] = running
+    ap = 0.0
+    prev_recall = 0.0
+    for k in range(n):
+        if tp[k]:
+            ap += (recall[k] - prev_recall) * envelope[k]
+            prev_recall = recall[k]
+    return ap
+
+
+def _locacc_ref(predictions, images: dict[str, GtImage], cls, iou_threshold, score_threshold, positives_only):
+    """Fraction of images judged correct for one class, or None with no image to judge."""
+    by_image: dict[str, PathologyBox] = {}
+    for image_id in predictions:
+        for p in predictions[image_id]:
+            if p.class_id == cls:
+                by_image[image_id] = p
+    correct = 0
+    considered = 0
+    for image_id, img in images.items():
+        pred = by_image.get(image_id)
+        fired = pred is not None and pred.score >= score_threshold
+        gt_box = img.boxes.get(cls)
+        if gt_box is not None:
+            considered += 1
+            if fired and iou_ref(pred.box, gt_box) >= iou_threshold:
+                correct += 1
+        elif not positives_only:
+            considered += 1
+            if not fired:
+                correct += 1
+    return None if considered == 0 else correct / considered
+
+
+def evaluate_ref(
+    predictions: dict[str, list[PathologyBox]],
+    images: dict[str, GtImage],
+    n_classes: int,
+    cfg: EvalConfig = EvalConfig(),
+) -> EvalReport:
+    """The evaluator one class, threshold and image at a time, from the ground truth's images.
+
+    Collects each class's predictions and boxes, calls
+    :func:`average_precision_ref` per threshold and scans every image per
+    localization threshold; means are :func:`left_sum` over the count.
+    Inputs are assumed valid.
+    """
+    mean = lambda values: left_sum(values) / len(values) if values else None
+    ap, class_map = {}, {}
+    for cls in range(n_classes):
+        preds = [(i, p.box, p.score) for i in predictions for p in predictions[i] if p.class_id == cls]
+        boxes = {i: img.boxes[cls] for i, img in images.items() if cls in img.boxes}
+        ap[cls] = {t: average_precision_ref(preds, boxes, t) for t in cfg.iou_thresholds}
+        class_map[cls] = mean([v for v in ap[cls].values() if v is not None])
+    loc_acc = {}
+    for cls in range(n_classes):
+        loc_acc[cls] = {}
+        for t in cfg.locacc_iou_thresholds:
+            args = (cls, t, cfg.locacc_score_threshold, cfg.locacc_positives_only)
+            acc = _locacc_ref(predictions, images, *args)
+            if acc is not None:
+                loc_acc[cls][t] = acc
+    loc_acc_macro = {}
+    for t in cfg.locacc_iou_thresholds:
+        vals = [loc_acc[cls][t] for cls in loc_acc if t in loc_acc[cls]]
+        if vals:
+            loc_acc_macro[t] = mean(vals)
+    counts = ReportCounts(
+        images=len(images),
+        gt_boxes=sum(len(img.boxes) for img in images.values()),
+        predictions=sum(len(v) for v in predictions.values()),
+    )
+    return EvalReport(
+        class_names=tuple(f"class_{i}" for i in range(n_classes)),
+        ap=ap,
+        class_map=class_map,
+        overall_map=mean([v for v in class_map.values() if v is not None]),
+        loc_acc=loc_acc,
+        loc_acc_macro=loc_acc_macro,
+        counts=counts,
+    )
 
 
 def map_probs_ref(mapping: ClassMapping, train_classes: list[str], probs) -> np.ndarray:

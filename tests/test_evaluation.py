@@ -1,17 +1,22 @@
+from dataclasses import replace
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import ap_oracle, random_box
+from conftest import any_box, score
+from helpers import ap_oracle, average_precision_ref, evaluate_ref, random_box
 
 from proxydet.errors import DataError
 from proxydet.evaluation import (
     EvalConfig,
+    EvalReport,
     GroundTruth,
     GtImage,
+    ReportCounts,
     average_precision,
     evaluate,
-    localization_accuracy,
-    mean_ap,
 )
 from proxydet.geometry import Box
 from proxydet.inference import PathologyBox
@@ -77,6 +82,15 @@ class TestAveragePrecision:
                     checked += 1
         assert checked > 200
 
+    def test_bit_equal_to_scalar_reference(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            preds, gt = self._random_instance(rng)
+            preds = [(img, box, round(s, 1)) for img, box, s in preds]  # tied scores across images
+            for thr in (0.1, 0.3, 0.5, 0.7):
+                got, want = average_precision(preds, gt, thr), average_precision_ref(preds, gt, thr)
+                assert got is want is None or got.hex() == want.hex()
+
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -103,11 +117,22 @@ def _pred(img_boxes: dict) -> dict:
     }
 
 
+def _loc_acc(preds, gt, iou_threshold, score_threshold, positives_only=False):
+    """Class 0's localization accuracy at one IoU threshold, read from the report."""
+    cfg = EvalConfig(
+        locacc_score_threshold=score_threshold,
+        locacc_iou_thresholds=(iou_threshold,),
+        locacc_positives_only=positives_only,
+    )
+    return evaluate(preds, gt, cfg).loc_acc[0].get(iou_threshold)
+
+
 class TestMeanAp:
     def test_constant_ap_one(self):
         gt = _gt({"a": {0: B}, "b": {0: B}})
         preds = _pred({"a": [(0, B, 0.9)], "b": [(0, B, 0.8)]})
-        ap, class_map, overall = mean_ap(preds, gt)
+        report = evaluate(preds, gt)
+        class_map, overall = report.class_map, report.overall_map
         assert class_map[0] == 1.0
         assert class_map[1] is None  # no ground truth for class 1
         assert overall == 1.0
@@ -121,7 +146,7 @@ class TestMeanAp:
 
         v = iou_ref(B, shifted)
         assert 0.3 <= v < 0.4
-        _, class_map, _ = mean_ap(preds, gt)
+        class_map = evaluate(preds, gt).class_map
         assert class_map[0] == pytest.approx(3 / 7, abs=1e-12)
 
 
@@ -129,11 +154,11 @@ class TestLocalizationAccuracy:
     def test_perfect(self):
         gt = _gt({"a": {0: B}, "b": {0: B}})
         preds = _pred({"a": [(0, B, 1.0)], "b": [(0, B, 1.0)]})
-        assert localization_accuracy(preds, gt, 0, 0.5, 0.7) == 1.0
+        assert _loc_acc(preds, gt, 0.5, 0.7) == 1.0
 
     def test_nothing_fires_half_have_gt(self):
         gt = _gt({"a": {0: B}, "b": {}})
-        assert localization_accuracy({}, gt, 0, 0.5, 0.7) == 0.5
+        assert _loc_acc({}, gt, 0.5, 0.7) == 0.5
 
     def test_four_image_hand_count(self):
         gt = _gt({"a": {0: B}, "b": {0: B}, "c": {}, "d": {}})
@@ -145,22 +170,27 @@ class TestLocalizationAccuracy:
                 "d": [(0, B, 0.9)],  # fires, no gt -> wrong
             }
         )
-        assert localization_accuracy(preds, gt, 0, 0.5, 0.7) == 0.5
+        assert _loc_acc(preds, gt, 0.5, 0.7) == 0.5
+
+    def test_iou_at_threshold_counts(self):
+        gt = _gt({"a": {0: Box(0.0, 0.0, 0.5, 0.5)}})
+        preds = _pred({"a": [(0, Box(0.0, 0.0, 0.25, 0.5), 0.9)]})  # IoU exactly 0.5
+        assert _loc_acc(preds, gt, 0.5, 0.7) == 1.0
 
     def test_score_threshold_gates_firing(self):
         gt = _gt({"a": {0: B}, "b": {}})
         preds = _pred({"a": [(0, B, 0.6)], "b": [(0, B, 0.6)]})
         # below the 0.7 firing bar: positive image missed, negative correct
-        assert localization_accuracy(preds, gt, 0, 0.5, 0.7) == 0.5
+        assert _loc_acc(preds, gt, 0.5, 0.7) == 0.5
         # at 0.5 both fire: positive hit, negative false-fires
-        assert localization_accuracy(preds, gt, 0, 0.5, 0.5) == 0.5
+        assert _loc_acc(preds, gt, 0.5, 0.5) == 0.5
 
     def test_positives_only_variant(self):
         gt = _gt({"a": {0: B}, "b": {}, "c": {}})
         preds = _pred({"a": [(0, B, 0.9)], "b": [(0, B, 0.9)]})
-        assert localization_accuracy(preds, gt, 0, 0.5, 0.7, positives_only=True) == 1.0
+        assert _loc_acc(preds, gt, 0.5, 0.7, positives_only=True) == 1.0
         # full variant: a correct (hit), b wrong (false fire), c correct (quiet)
-        assert localization_accuracy(preds, gt, 0, 0.5, 0.7) == pytest.approx(2 / 3)
+        assert _loc_acc(preds, gt, 0.5, 0.7) == pytest.approx(2 / 3)
 
     def test_monotone_in_iou_threshold(self):
         rng = np.random.default_rng(2)
@@ -174,7 +204,7 @@ class TestLocalizationAccuracy:
                     preds[img] = [(0, random_box(rng, 0.05), float(rng.uniform(0, 1)))]
             gt = _gt(images)
             p = _pred(preds)
-            vals = [localization_accuracy(p, gt, 0, t, 0.7) for t in (0.1, 0.3, 0.5)]
+            vals = [_loc_acc(p, gt, t, 0.7) for t in (0.1, 0.3, 0.5)]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -232,3 +262,146 @@ class TestEvaluate:
         assert report.class_names == ("x", "y")
         with pytest.raises(ValueError):
             evaluate(_pred({"a": [(0, B, 0.9)]}), gt, class_names=["x"])
+
+    def test_out_of_range_prediction_class_rejected(self):
+        gt = _gt({"a": {0: B}, "b": {}})
+        for cls in (-1, 2, 0.5):
+            preds = {"a": [PathologyBox(0, B, 0.9)], "b": [PathologyBox(cls, B, 0.9)]}
+            with pytest.raises(DataError, match=f"image 'b': prediction class id {cls} is not in 0..1"):
+                evaluate(preds, gt)
+
+    def test_out_of_range_ground_truth_class_rejected(self):
+        for cls in (-1, 2):
+            images = {"a": GtImage(boxes={}, labels=frozenset()), "b": GtImage({cls: B}, frozenset({cls}))}
+            with pytest.raises(DataError, match=f"image 'b': ground-truth class id {cls} outside 0..1"):
+                GroundTruth(images=images, n_classes=2)
+
+    def test_ground_truth_stacked_in_given_order(self):
+        gt = _gt({"b": {1: B}, "a": {}, "c": {0: B_FAR}})
+        assert gt.image_ids == ("b", "a", "c")
+        assert gt.id_rank.tolist() == [1, 0, 2]
+        assert gt.has_box.tolist() == [[False, True], [False, False], [True, False]]
+        assert gt.boxes[0, 1].tolist() == list(B.as_tuple())
+        assert gt.boxes[2, 0].tolist() == list(B_FAR.as_tuple())
+        assert not gt.boxes[1].any()
+
+
+def _report_bits(report) -> tuple:
+    """Every report field in insertion order, floats as ``float.hex`` of a builtin float."""
+
+    def bits(v):
+        return None if v is None else (type(v).__name__, v.hex())
+
+    def table(d):
+        return [(k, [(t, bits(v)) for t, v in row.items()]) for k, row in d.items()]
+
+    return (
+        report.class_names,
+        table(report.ap),
+        [(c, bits(v)) for c, v in report.class_map.items()],
+        bits(report.overall_map),
+        table(report.loc_acc),
+        [(t, bits(v)) for t, v in report.loc_acc_macro.items()],
+        (report.counts.images, report.counts.gt_boxes, report.counts.predictions),
+    )
+
+
+_THRESHOLD = st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0])
+
+
+@st.composite
+def _eval_cases(draw):
+    """Few images and classes, grid boxes (often zero-area) and grid scores (often tied)."""
+    n_classes = draw(st.integers(1, 3))
+    classes = st.lists(st.integers(0, n_classes - 1), unique=True)
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f"]), unique=True, max_size=6))
+    images = {}
+    for image_id in ids:
+        boxes = {c: draw(any_box()) for c in draw(classes)}
+        images[image_id] = GtImage(boxes=boxes, labels=frozenset(boxes))
+    predicted = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    predictions = {
+        image_id: [PathologyBox(c, draw(any_box()), draw(score)) for c in draw(classes)]
+        for image_id in predicted
+    }
+    cfg = EvalConfig(
+        iou_thresholds=tuple(draw(st.lists(_THRESHOLD, max_size=4))),
+        locacc_score_threshold=draw(st.sampled_from([0.0, 0.5, 0.7, 1.0])),
+        locacc_iou_thresholds=tuple(draw(st.lists(_THRESHOLD, max_size=3))),
+        locacc_positives_only=draw(st.booleans()),
+    )
+    return images, n_classes, predictions, cfg
+
+
+class TestMatchesScalarEvaluator:
+    @settings(max_examples=80)
+    @given(_eval_cases())
+    def test_every_field_bit_equal(self, case):
+        images, n_classes, predictions, cfg = case
+        got = evaluate(predictions, GroundTruth(images=images, n_classes=n_classes), cfg)
+        assert _report_bits(got) == _report_bits(evaluate_ref(predictions, images, n_classes, cfg))
+
+    def test_desk_sized_random_reports(self):
+        rng = np.random.default_rng(5)
+        repeated = EvalConfig(iou_thresholds=(0.1, 0.5, 0.1, 0.3, 0.5), locacc_iou_thresholds=(0.3, 0.1, 0.3))
+        for trial in range(20):
+            cfg = replace(repeated, locacc_positives_only=trial % 4 == 1) if trial % 2 else EvalConfig()
+            images, predictions = {}, {}
+            for i in range(60):
+                boxes = {c: random_box(rng) for c in range(4) if rng.random() < 0.4}
+                images[f"i{i:02d}"] = GtImage(boxes=boxes, labels=frozenset(boxes))
+                scores = rng.choice([0.25, 0.5, 0.75, 0.9], size=4) if rng.random() < 0.5 else rng.uniform(size=4)
+                predictions[f"i{i:02d}"] = [
+                    PathologyBox(c, random_box(rng), float(scores[c])) for c in range(4) if rng.random() < 0.8
+                ]
+            got = evaluate(predictions, GroundTruth(images=images, n_classes=4), cfg)
+            assert _report_bits(got) == _report_bits(evaluate_ref(predictions, images, 4, cfg))
+
+
+def _golden_case():
+    """Ten images, three classes: shifted boxes, partial coverage and a tied score."""
+    b1, b2 = Box(0.1, 0.5, 0.4, 0.9), Box(0.5, 0.1, 0.9, 0.3)
+    images, predictions = {}, {}
+    for i in range(10):
+        boxes = {}
+        if i % 3 != 2:
+            boxes[0] = B
+        if i % 2 == 0:
+            boxes[1] = b1
+        if i % 4 == 1:
+            boxes[2] = b2
+        images[f"img{i}"] = GtImage(boxes=boxes, labels=frozenset(boxes))
+        shifted = Box(0.2 + 0.02 * i, 0.2, 0.6 + 0.02 * i, 0.6)
+        row = [PathologyBox(0, shifted, [0.9, 0.8, 0.8, 0.7, 0.6, 0.5, 0.75, 0.3, 0.2, 0.1][i])]
+        if i % 3 == 0:
+            row.append(PathologyBox(1, Box(0.1, 0.5, 0.4 - 0.03 * (i % 4), 0.9), 0.4 + 0.05 * i))
+        if i < 6:
+            row.append(PathologyBox(2, Box(0.5, 0.1, 0.9 - 0.05 * i, 0.3), 0.95 - 0.1 * i))
+        predictions[f"img{i}"] = row
+    return predictions, GroundTruth(images=images, n_classes=3)
+
+
+def test_golden_report_bits():
+    """Pinned bits. Means are left-to-right sums: a compensated sum, as builtin
+    ``sum`` does from Python 3.12 on, moves class 1, class 2 and every
+    localization macro by one or two units in the last place."""
+    report = evaluate(*_golden_case())
+    h = float.fromhex
+    ap0 = ["0x1.b333333333334p-1"] * 3 + [
+        "0x1.8000000000000p-1", "0x1.4924924924925p-1", "0x1.e79e79e79e79ep-2", "0x1.7c57c57c57c57p-2"
+    ]
+    ap1 = ["0x1.999999999999ap-3"] * 7
+    ap2 = ["0x1.1c71c71c71c72p-2"] * 3 + ["0x1.5555555555555p-3"] * 4
+    thresholds = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    expected_ap = {c: {t: h(v) for t, v in zip(thresholds, ap)} for c, ap in enumerate((ap0, ap1, ap2))}
+    la = {0: "0x1.3333333333333p-1", 1: "0x1.0000000000000p-1", 2: "0x1.3333333333333p-1"}
+    expected = EvalReport(
+        class_names=("class_0", "class_1", "class_2"),
+        ap=expected_ap,
+        class_map={0: h("0x1.5e639d153f0adp-1"), 1: h("0x1.9999999999999p-3"), 2: h("0x1.b6db6db6db6ddp-3")},
+        overall_map=h("0x1.7700949b92ddcp-2"),
+        loc_acc={c: {t: h(v) for t in (0.1, 0.3, 0.5)} for c, v in la.items()},
+        loc_acc_macro={t: h("0x1.2222222222223p-1") for t in (0.1, 0.3, 0.5)},
+        counts=ReportCounts(images=10, gt_boxes=15, predictions=20),
+    )
+    assert _report_bits(report) == _report_bits(expected)

@@ -387,13 +387,23 @@ class TestTrainSampleConversion:
         with pytest.raises(DataError, match="region ids"):
             formats.records_to_train_samples(header, records)
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_anatomy_key_outside_regions_rejected(self, tmp_path, past_end):
+        # numpy would wrap -1 to the last region and raise IndexError past the end
+        _, header, records, _ = _sample_dataset(tmp_path)
+        key = header.n_regions if past_end else -1
+        records[1].anatomy_labels = {key: [header.classes[0]]}
+        message = f"image '{records[1].image_id}': anatomy_labels key {key} outside 0..{header.n_regions - 1}"
+        with pytest.raises(DataError, match=message):
+            formats.records_to_train_samples(header, records)
+
 
 class TestGroundTruthConversion:
     def test_from_records(self, tmp_path):
         cfg, header, records, _ = _sample_dataset(tmp_path)
         gt = formats.ground_truth_from_records(records, list(header.classes))
         assert gt.n_classes == cfg.n_classes
-        assert set(gt.images) == {r.image_id for r in records}
+        assert gt.image_ids == tuple(r.image_id for r in records)
 
     def test_unknown_class_named(self, tmp_path):
         _, header, records, _ = _sample_dataset(tmp_path)

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import any_box, boxes, center_boxes
 from helpers import (
@@ -9,6 +9,7 @@ from helpers import (
     giou_gradient_ref,
     giou_ref,
     grid_box,
+    iou_ref,
     random_box,
     raster_giou,
     raster_iou,
@@ -22,6 +23,7 @@ from proxydet.geometry import (
     giou_batch,
     giou_gradient_batch,
     iou,
+    iou_batch,
 )
 
 
@@ -98,6 +100,14 @@ class TestIou:
     def test_axis_swap_invariance(self, a, b):
         swap = lambda x: Box(x.y1, x.x1, x.y2, x.x2)
         assert iou(swap(a), swap(b)) == pytest.approx(iou(a, b), abs=1e-15)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(any_box(), any_box()), min_size=1, max_size=10))
+    def test_batch_rows_bit_equal_to_scalar_reference(self, pairs):
+        # grid corners make zero-area boxes, zero unions and shared edges common
+        got = iou_batch(*_pair_rows(pairs))
+        assert _bits(got) == _bits(np.array([iou_ref(a, b) for a, b in pairs]))
+        assert [iou(a, b) for a, b in pairs] == got.tolist()
 
     def test_bulk_random_pairs(self):
         rng = np.random.default_rng(0)
