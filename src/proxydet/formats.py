@@ -1,8 +1,9 @@
 """File formats: JSONL datasets and predictions, mapping files, checkpoints, reports.
 
 Every writer is byte-deterministic: JSON keys are emitted in sorted
-order, floats are printed with 17 significant digits (lossless for
-doubles), and no timestamps or environment details leak into outputs.
+order, floats are printed as Python's ``repr`` (the shortest text that
+reads back as the same double), and no timestamps or environment details
+leak into outputs.
 Dataset and prediction files are self-describing — the first JSONL line
 is a header record declaring the class vocabulary.
 
@@ -13,7 +14,7 @@ field.
 from __future__ import annotations
 
 import json
-import math
+import operator
 from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -35,51 +36,12 @@ _CHECKPOINT_MAGIC = b"proxydet-checkpoint-v1\n"
 
 
 def canonical_json(obj) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats."""
-    parts: list[str] = []
-    _canon(obj, parts)
-    return "".join(parts)
+    """Serialize with sorted keys, no spaces and each float as its ``repr``.
 
-
-def _canon(obj, parts: list[str]) -> None:
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        obj = int(obj)
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("cannot serialize non-finite float")
-        parts.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _canon(v, parts)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, k in enumerate(sorted(obj)):
-            if not isinstance(k, str):
-                raise ValueError(f"JSON object keys must be strings, got {type(k)}")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(k, ensure_ascii=False))
-            parts.append(":")
-            _canon(obj[k], parts)
-        parts.append("}")
-    else:
-        raise ValueError(f"cannot serialize type {type(obj)}")
+    ``repr`` is the shortest text that reads back as the same double, so
+    every value round-trips exactly. NaN and infinities raise ``ValueError``.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +419,8 @@ def read_predictions(path: str | Path) -> tuple[list[str], dict[str, list[Pathol
             bwhere = f"{where}: boxes[{i}]"
             _require(isinstance(entry, dict), bwhere, "must be an object")
             name = entry.get("class")
-            if name not in index:
-                raise DataError(f"{bwhere}: unknown class name {name!r}")
+            # a list or object would not even hash for the lookup
+            _require(isinstance(name, str) and name in index, bwhere, f"unknown class name {name!r}")
             score = _parse_number(entry.get("score", 0.0), bwhere, "score")
             _require(0.0 <= score <= 1.0, bwhere, "score outside [0, 1]")
             boxes.append(
@@ -650,6 +612,7 @@ def save_checkpoint(path: str | Path, params: HeadParams, meta: CheckpointMeta) 
 
 
 def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
+    """Read a checkpoint; its manifest must list exactly the arrays of ``_param_layout``."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.readline()
@@ -657,7 +620,8 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             raise DataError(f"{path}: not a checkpoint file (bad magic)")
         try:
             manifest = json.loads(fh.readline().decode("utf-8"))
-            specs = [(str(spec["name"]), tuple(int(v) for v in spec["shape"])) for spec in manifest["arrays"]]
+            # operator.index rejects a fractional or non-numeric dimension
+            specs = [(str(spec["name"]), tuple(map(operator.index, spec["shape"]))) for spec in manifest["arrays"]]
             meta = CheckpointMeta(
                 mode=str(manifest["mode"]),
                 classes=_parse_classes(manifest["classes"], str(path)),
@@ -669,37 +633,34 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             raise DataError(f"{path}: checkpoint manifest missing field {exc}") from exc
         except (TypeError, ValueError) as exc:  # includes JSON and UTF-8 decoding errors
             raise DataError(f"{path}: malformed checkpoint manifest") from exc
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in specs:
-            if any(d < 0 for d in shape):
-                raise DataError(f"{path}: array {name!r} has a negative dimension {list(shape)}")
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated checkpoint (array {name!r})")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            if not np.isfinite(arrays[name]).all():
-                raise DataError(f"{path}: array {name!r} holds a non-finite value")
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after checkpoint payload")
-    missing = [n for n in PARAM_FIELDS if n not in arrays]
-    if missing:
-        raise DataError(f"{path}: checkpoint missing arrays {missing}")
-    # every shape follows from pathology_weight's (n_classes, feature_dim)
-    weight_shape = arrays["pathology_weight"].shape
-    if len(weight_shape) != 2:
-        raise DataError(f"{path}: array 'pathology_weight' has shape {list(weight_shape)}, expected 2-D")
-    for name, shape, _, _ in _param_layout(weight_shape[1], weight_shape[0]):
-        if arrays[name].shape != shape:
+        names = [name for name, _ in specs]
+        if names != list(PARAM_FIELDS):
+            raise DataError(f"{path}: manifest lists arrays {names}, expected {list(PARAM_FIELDS)}")
+        weight_shape = specs[0][1]
+        if len(meta.classes) != n_classes or weight_shape != (n_classes, feature_dim):
             raise DataError(
-                f"{path}: array {name!r} has shape {list(arrays[name].shape)}, expected {list(shape)}"
+                f"{path}: manifest declares {len(meta.classes)} classes, n_classes {n_classes} and feature_dim "
+                f"{feature_dim}, but array 'pathology_weight' has shape {list(weight_shape)}"
             )
-    if len(meta.classes) != weight_shape[0] or (n_classes, feature_dim) != weight_shape:
-        raise DataError(
-            f"{path}: manifest declares {len(meta.classes)} classes, n_classes {n_classes} and feature_dim "
-            f"{feature_dim}, but array 'pathology_weight' has shape {list(weight_shape)}"
-        )
-    return HeadParams.from_dict(arrays), meta
+        layout = _param_layout(feature_dim, n_classes)
+        for (name, shape), (_, expected, _, _) in zip(specs, layout):
+            if min(shape, default=0) < 0:
+                raise DataError(f"{path}: array {name!r} has a negative dimension {list(shape)}")
+            if shape != expected:
+                raise DataError(f"{path}: array {name!r} has shape {list(shape)}, expected {list(expected)}")
+        # the payload is the flat vector; its size is checked before anything is allocated
+        size, left = 8 * layout[-1][3], path.stat().st_size - fh.tell()
+        if left != size:
+            problem = "truncated checkpoint" if left < size else "trailing bytes after checkpoint payload"
+            raise DataError(f"{path}: {problem} ({left} payload bytes, expected {size})")
+        flat = np.empty(layout[-1][3], dtype="<f8")
+        if fh.readinto(flat) != size:
+            raise DataError(f"{path}: truncated checkpoint (payload shorter than {size} bytes)")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        name = next(name for name, _, start, stop in layout if start <= bad[0] < stop)
+        raise DataError(f"{path}: array {name!r} holds a non-finite value")
+    return HeadParams(flat.astype(np.float64, copy=False), feature_dim, n_classes), meta
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +673,7 @@ def write_history_csv(path: str | Path, history: list[tuple[int, LossBreakdown]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["step", *columns]) + "\n")
         for step, row in history:
-            values = [format(getattr(row, name), ".17g") for name in columns]
+            values = [repr(float(getattr(row, name))) for name in columns]
             fh.write(",".join([str(step), *values]) + "\n")
 
 
@@ -759,7 +720,7 @@ def write_report_csv(path: str | Path, report: EvalReport) -> None:
     )
 
     def fmt(v: float | None) -> str:
-        return "" if v is None else format(v, ".17g")
+        return "" if v is None else repr(float(v))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")

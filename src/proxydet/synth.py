@@ -67,8 +67,10 @@ class SynthConfig:
             raise ConfigError("affinity_size cannot exceed n_regions")
         if not 0.0 <= self.region_dropout < 1.0:
             raise ConfigError("region_dropout must lie in [0, 1)")
-        if self.jitter < 0 or self.noise_sigma < 0:
-            raise ConfigError("jitter and noise_sigma must be >= 0")
+        for name in ("jitter", "noise_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
     def class_names(self) -> list[str]:
         return [f"finding_{i}" for i in range(self.n_classes)]

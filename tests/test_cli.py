@@ -289,6 +289,20 @@ class TestBadConfigValues:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--jitter", "nan", "jitter must be finite and >= 0, got nan"),
+            ("--jitter", "inf", "jitter must be finite and >= 0, got inf"),
+            ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+            ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_non_finite_synth_setting_named(self, tmp_path, capsys, flag, value, message):
+        assert _run("synth", "--n-images", 3, "--out", tmp_path / "s.jsonl", flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestFeatureLength:
     """Every region of a dataset file has one feature length."""
@@ -524,6 +538,13 @@ class TestMalformedPredictions:
         assert self._eval(five_images, tmp_path, [header, ["img_00000"]]) == 2
         assert "pred.jsonl:2: record must be a JSON object" in capsys.readouterr().err
 
+    def test_class_not_a_string(self, five_images, tmp_path, capsys):
+        header = {"kind": "predictions", "version": 1, "classes": ["finding_0"]}
+        entry = {"class": ["finding_0"], "box": [0.1, 0.1, 0.5, 0.5], "score": 0.5}
+        assert self._eval(five_images, tmp_path, [header, {"image_id": "x", "boxes": [entry]}]) == 2
+        err = capsys.readouterr().err
+        assert "pred.jsonl:2: boxes[0]: unknown class name ['finding_0']" in err
+
     def test_box_entry_not_an_object(self, five_images, tmp_path, capsys):
         header = {"kind": "predictions", "version": 1, "classes": ["a"]}
         assert self._eval(five_images, tmp_path, [header, {"image_id": "x", "boxes": ["x"]}]) == 2
@@ -572,6 +593,26 @@ class TestMalformedCheckpoint:
         code = _run("infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
         assert code == 2
         assert f"five.ckpt: array {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["arrays"][4].__setitem__("shape", [2**32, 2**32]), "array 'box_w1' has shape"),
+            (lambda m: m["arrays"][4].__setitem__("shape", [10**9, 10**9]), "array 'box_w1' has shape"),
+            (lambda m: m["arrays"][0].__setitem__("shape", [5, 16, 10**12]), "but array 'pathology_weight' has shape"),
+            (lambda m: m["arrays"][1].__setitem__("shape", [5.7]), "malformed checkpoint manifest"),
+            (lambda m: m["arrays"].insert(2, m["arrays"][1]), "manifest lists arrays"),
+        ],
+        ids=["overflow", "huge", "extra-dimension", "fractional", "listed-twice"],
+    )
+    def test_shape_outside_the_layout(self, five_images, tmp_path, capsys, edit, message):
+        data, ckpt = five_images
+        _edit_manifest(ckpt, edit)
+        code = _run("infer", "--data", data, "--checkpoint", ckpt, "--out", tmp_path / "p.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "five.ckpt: " in err and message in err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_non_finite_value(self, five_images, tmp_path, capsys):
         data, ckpt = five_images

@@ -9,9 +9,14 @@ from proxydet import formats
 from proxydet.errors import ConfigError, DataError
 from proxydet.evaluation import EvalConfig, evaluate
 from proxydet.geometry import Box
-from proxydet.head import PARAM_FIELDS, init_head_params
+from proxydet.head import PARAM_FIELDS, _param_layout, init_head_params
 from proxydet.inference import PathologyBox
 from proxydet.synth import SynthConfig, generate_dataset
+
+
+# zero's sign, the smallest subnormal and normal, the largest double, large and
+# small powers of ten, and integral values, which must read back as floats
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7, 3.0, -2.0, 0.0]
 
 
 class TestCanonicalJson:
@@ -19,13 +24,11 @@ class TestCanonicalJson:
         assert formats.canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
     def test_float_precision(self):
-        assert formats.canonical_json(0.1) == "0.10000000000000001"
+        assert formats.canonical_json(0.1) == "0.1"
         assert formats.canonical_json(0.5) == "0.5"
+        assert formats.canonical_json(1.0) == "1.0"
+        assert formats.canonical_json(-0.0) == "-0.0"
         assert float(formats.canonical_json(1 / 3)) == 1 / 3
-
-    def test_numpy_values(self):
-        s = formats.canonical_json({"x": np.float64(0.25), "n": np.int64(3), "a": np.arange(2)})
-        assert s == '{"a":[0,1],"n":3,"x":0.25}'
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -35,6 +38,11 @@ class TestCanonicalJson:
         rng = np.random.default_rng(0)
         for v in rng.uniform(-1, 1, size=100):
             assert json.loads(formats.canonical_json(float(v))) == v
+
+    def test_edge_values_roundtrip_bit_for_bit(self):
+        back = json.loads(formats.canonical_json(EDGE_FLOATS))
+        assert [v.hex() for v in back] == [v.hex() for v in EDGE_FLOATS]
+
 
 
 def _sample_dataset(tmp_path, **kwargs):
@@ -63,6 +71,34 @@ class TestDatasetRoundTrip:
             assert a.gt.boxes == b.gt.boxes
             assert a.gt.image_labels == b.gt.image_labels
             assert a.anatomy_labels == b.anatomy_labels
+
+    def test_edge_values_roundtrip_bit_for_bit(self, tmp_path):
+        header = formats.DatasetHeader(classes=("a",), n_regions=1, feature_dim=len(EDGE_FLOATS))
+        region = formats.RegionRecord(0, Box(0.0, 0.0, 1.0, 1.0), -0.0, np.array(EDGE_FLOATS))
+        path = tmp_path / "edge.jsonl"
+        formats.write_dataset(path, header, [formats.ImageRecord("img", [region])])
+        _, (record,) = formats.read_dataset(path)
+        assert [v.hex() for v in record.features[0].tolist()] == [v.hex() for v in EDGE_FLOATS]
+        assert record.presence[0].hex() == (-0.0).hex()
+
+    def test_golden_bytes(self, tmp_path):
+        header = formats.DatasetHeader(classes=("a", "b"), n_regions=2, feature_dim=3)
+        regions = [
+            formats.RegionRecord(1, Box(0.5, 0.25, 1.0, 0.75), 0.0, np.array([-0.0, 1e16, 1e-7])),
+            formats.RegionRecord(0, Box(0.1, 0.2, 0.1 + 0.2, 0.7), 1.0, np.array([1 / 3, 2.0, 5e-324])),
+        ]
+        gt = formats.GtRecord(boxes=[("b", Box(0.1, 0.2, 0.3, 0.4))], image_labels=["b"])
+        record = formats.ImageRecord("img", regions, gt=gt, anatomy_labels={0: ["b"], 1: []})
+        path = tmp_path / "d.jsonl"
+        formats.write_dataset(path, header, [record])
+        assert path.read_text().splitlines() == [
+            '{"classes":["a","b"],"feature_dim":3,"kind":"dataset","n_regions":2,"version":1}',
+            '{"anatomy_labels":{"0":["b"],"1":[]},'
+            '"gt":{"boxes":[{"box":[0.1,0.2,0.3,0.4],"class":"b"}],"image_labels":["b"]},"image_id":"img",'
+            '"regions":[{"box":[0.1,0.2,0.30000000000000004,0.7],"features":[0.3333333333333333,2.0,5e-324],'
+            '"presence":1.0,"region_id":0},'
+            '{"box":[0.5,0.25,1.0,0.75],"features":[-0.0,1e+16,1e-07],"presence":0.0,"region_id":1}]}',
+        ]
 
     def test_write_is_deterministic(self, tmp_path):
         _, header, records, path = _sample_dataset(tmp_path)
@@ -227,6 +263,14 @@ class TestPredictions:
         classes2, preds2 = formats.read_predictions(path)
         assert classes2 == classes
         assert preds2 == preds
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        formats.write_predictions(path, ["a", "b"], {"img": [PathologyBox(1, Box(0.1, 0.2, 0.3, 1.0), 1 / 3)]})
+        assert path.read_text().splitlines() == [
+            '{"classes":["a","b"],"kind":"predictions","version":1}',
+            '{"boxes":[{"box":[0.1,0.2,0.3,1.0],"class":"b","score":0.3333333333333333}],"image_id":"img"}',
+        ]
 
     def test_duplicate_image_rejected(self, tmp_path):
         path = tmp_path / "pred.jsonl"
@@ -480,6 +524,27 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="truncated"):
             formats.load_checkpoint(path)
 
+    def test_payload_size_checked_before_reading(self, tmp_path):
+        # a manifest that agrees with itself but asks for about 16 EB: rejected, nothing allocated
+        params = init_head_params(4, 2, np.random.default_rng(0))
+        path = tmp_path / "ck.bin"
+        formats.save_checkpoint(path, params, formats.CheckpointMeta(mode="loc", classes=("a", "b"), seed=0))
+        magic, manifest, payload = path.read_bytes().split(b"\n", 2)
+        obj = json.loads(manifest)
+        obj["feature_dim"] = 10**9
+        obj["arrays"] = [{"name": n, "shape": list(s)} for n, s, _, _ in _param_layout(10**9, 2)]
+        path.write_bytes(magic + b"\n" + json.dumps(obj).encode() + b"\n" + payload)
+        with pytest.raises(DataError, match=re.escape(f"{path}: truncated checkpoint")):
+            formats.load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        params = init_head_params(4, 2, np.random.default_rng(0))
+        path = tmp_path / "ck.bin"
+        formats.save_checkpoint(path, params, formats.CheckpointMeta(mode="loc", classes=("a", "b"), seed=0))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataError, match=re.escape(f"{path}: trailing bytes after checkpoint payload")):
+            formats.load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -535,6 +600,18 @@ class TestReports:
         assert obj["overall"]["map"] == 1.0
         assert obj["classes"]["y"]["map"] is None
 
+    def test_json_golden_bytes(self, tmp_path):
+        path = tmp_path / "r.json"
+        formats.write_report_json(path, self._report(tmp_path))
+        assert path.read_text() == (
+            '{"classes":{"x":{"ap":{"0.10":1.0,"0.20":1.0,"0.30":1.0,"0.40":1.0,"0.50":1.0,"0.60":1.0,"0.70":1.0},'
+            '"loc_acc":{"0.10":1.0,"0.30":1.0,"0.50":1.0},"map":1.0},'
+            '"y":{"ap":{"0.10":null,"0.20":null,"0.30":null,"0.40":null,"0.50":null,"0.60":null,"0.70":null},'
+            '"loc_acc":{"0.10":1.0,"0.30":1.0,"0.50":1.0},"map":null}},'
+            '"counts":{"gt_boxes":1,"images":1,"predictions":1},'
+            '"overall":{"loc_acc":{"0.10":1.0,"0.30":1.0,"0.50":1.0},"map":1.0}}\n'
+        )
+
     def test_csv_layout(self, tmp_path):
         report = self._report(tmp_path)
         path = tmp_path / "r.csv"
@@ -550,9 +627,13 @@ class TestReports:
     def test_history_csv(self, tmp_path):
         from proxydet.head import LossBreakdown
 
-        rows = [(0, LossBreakdown(1.5, 1.0, 0.5, 0.25, 0.25, 0.1, 0.0))]
+        rows = [
+            (0, LossBreakdown(1.5, 1.0, 0.5, 0.25, 0.25, 0.1, 0.0)),
+            (7, LossBreakdown(2 / 3, 1e-7, -0.0, 1e16, 0.25, 5e-324, 3.0)),
+        ]
         path = tmp_path / "h.csv"
         formats.write_history_csv(path, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,total,detection,presence_bce,l1,giou_penalty,loc_asl,mil_asl"
-        assert lines[1] == "0,1.5,1,0.5,0.25,0.25,0.10000000000000001,0"
+        assert lines[1] == "0,1.5,1.0,0.5,0.25,0.25,0.1,0.0"
+        assert lines[2] == "7,0.6666666666666666,1e-07,-0.0,1e+16,0.25,5e-324,3.0"
