@@ -8,7 +8,7 @@ benchmark.
 """
 
 from .errors import ConfigError, DataError, ProxydetError, TrainingError
-from .evaluation import EvalConfig, EvalReport, GroundTruth, GtImage, evaluate
+from .evaluation import EvalConfig, EvalReport, GroundTruth, evaluate
 from .fusion import FusionConfig, ScoredBox, ScoredBoxes, weighted_box_fusion
 from .geometry import Box, iou
 from .head import AdamW, HeadParams, TrainConfig, TrainSample, forward, init_head_params, train
@@ -53,7 +53,6 @@ __all__ = [
     "EvalReport",
     "FusionConfig",
     "GroundTruth",
-    "GtImage",
     "HeadParams",
     "InferenceConfig",
     "LsePoolParams",

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .evaluation import EvalConfig, GroundTruth, GtImage, evaluate
+from .evaluation import EvalConfig, GroundTruth, evaluate
 from .fusion import FusionConfig
 from .geometry import corner_to_center_batch
 from .head import HeadParams, TrainConfig, TrainSample, predict_regions, train
@@ -63,12 +61,7 @@ def scene_to_train_sample(scene: SynthScene) -> TrainSample:
 
 
 def ground_truth_from_scenes(scenes: list[SynthScene], n_classes: int) -> GroundTruth:
-    images = {}
-    for scene in scenes:
-        images[scene.image_id] = GtImage(
-            boxes={b.class_id: b.box for b in scene.gt_boxes},
-            labels=frozenset(int(c) for c in np.flatnonzero(scene.image_labels)),
-        )
+    images = {scene.image_id: {b.class_id: b.box for b in scene.gt_boxes} for scene in scenes}
     return GroundTruth(images=images, n_classes=n_classes)
 
 

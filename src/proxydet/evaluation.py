@@ -59,31 +59,18 @@ class EvalConfig:
 
 
 @dataclass(eq=False)
-class GtImage:
-    """Ground truth for one image: at most one box per class, plus image labels."""
-
-    boxes: dict[int, Box]
-    labels: frozenset[int]
-
-    def __post_init__(self):
-        if not self.labels.issuperset(self.boxes.keys()):
-            raise DataError(
-                "image labels must include every class that has a ground-truth box"
-            )
-
-
-@dataclass(eq=False)
 class GroundTruth:
     """Ground truth stacked once: one row per image, in the order given.
 
-    ``images`` is read only by the constructor. Row ``i`` is image
+    ``images`` maps each image id to its boxes by class id, at most one per
+    class, and is read only by the constructor. Row ``i`` is image
     ``image_ids[i]``: ``boxes[i, c]`` is its box of class ``c`` where
     ``has_box[i, c]`` and the zero box elsewhere, and ``id_rank[i]`` is the
     id's place in sorted order, which breaks score ties. A box key outside
     ``0..n_classes-1`` is a DataError.
     """
 
-    images: InitVar[dict[str, GtImage]]
+    images: InitVar[dict[str, dict[int, Box]]]
     n_classes: int
     image_ids: tuple[str, ...] = field(init=False)
     row_of: dict[str, int] = field(init=False)  # image id -> row
@@ -91,14 +78,14 @@ class GroundTruth:
     has_box: np.ndarray = field(init=False)  # (N, C) bool
     id_rank: np.ndarray = field(init=False)  # (N,) int64
 
-    def __post_init__(self, images: dict[str, GtImage]):
+    def __post_init__(self, images: dict[str, dict[int, Box]]):
         self.image_ids = tuple(images)
         n = len(self.image_ids)
         self.row_of = {image_id: i for i, image_id in enumerate(self.image_ids)}
         self.boxes = np.zeros((n, self.n_classes, 4))
         self.has_box = np.zeros((n, self.n_classes), dtype=bool)
-        for i, (image_id, img) in enumerate(images.items()):
-            for cls, box in img.boxes.items():
+        for i, (image_id, boxes) in enumerate(images.items()):
+            for cls, box in boxes.items():
                 if not 0 <= cls < self.n_classes:
                     raise DataError(
                         f"image {image_id!r}: ground-truth class id {cls} "

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .evaluation import EvalReport, GroundTruth, GtImage
+from .evaluation import EvalReport, GroundTruth
 from .geometry import Box, corner_to_center_batch
 from .head import PARAM_FIELDS, HeadParams, LossBreakdown, TrainSample, _param_layout
 from .inference import ClassMapping, MappingEntry, PathologyBox, RegionDetections
@@ -85,12 +85,13 @@ class ImageRecord:
     Row ``i`` of every array is region ``region_ids[i]``, ids increasing, so
     score ties fuse in id order. ``features`` and ``pathology_probs`` are None
     unless every region (at least one) has them; a repeated id is a DataError.
+    ``anatomy_labels`` is the exception: one row per id ``0..n_regions-1``.
     """
 
     image_id: str
     regions: InitVar[list[RegionRecord]]
     gt: GtRecord | None = None
-    anatomy_labels: dict[int, list[str]] | None = None
+    anatomy_labels: np.ndarray | None = None  # (n_regions, C) 0/1: row r is region id r
     region_ids: np.ndarray = field(init=False)  # (R,) int64
     boxes: np.ndarray = field(init=False)  # (R, 4) corners
     presence: np.ndarray = field(init=False)  # (R,)
@@ -129,14 +130,14 @@ def _parse_box(value, where: str) -> Box:
     _require(isinstance(value, list) and len(value) == 4, where, "box must be a 4-element array")
     try:
         return Box(*(float(v) for v in value))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # json ints may exceed the float range
         raise DataError(f"{where}: {exc}") from exc
 
 
 def _parse_number(value, where: str, field: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: {field} must be a number, got {value!r}") from exc
 
 
@@ -154,9 +155,10 @@ def _parse_classes(value, where: str) -> tuple[str, ...]:
 
 
 def _parse_features(value, where: str) -> np.ndarray:
+    _require(isinstance(value, list), where, "features must be an array of numbers")
     try:
         features = np.asarray([float(v) for v in value], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: features must be an array of numbers") from exc
     # json reads NaN and Infinity tokens; no head output is defined for them
     _require(
@@ -178,17 +180,25 @@ def _parse_probs(value, index: dict[str, int], where: str) -> np.ndarray:
     return out
 
 
+def _loads(raw: bytes, where: str):
+    """Parse UTF-8 JSON text; invalid bytes, bad syntax or an over-long integer is a DataError."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: malformed JSON: {exc.msg}") from exc
+    except ValueError as exc:  # UnicodeDecodeError, or an integer past Python's digit limit
+        raise DataError(f"{where}: malformed JSON: {exc}") from exc
+
+
 def _iter_jsonl(path: str | Path):
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    # binary lines, decoded one at a time, so a bad byte is reported at its own line
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+            obj = _loads(line, f"{path}:{line_no}")
             _require(isinstance(obj, dict), f"{path}:{line_no}", "record must be a JSON object")
             yield line_no, obj
 
@@ -302,18 +312,20 @@ def _parse_image_record(obj, header: DatasetHeader, regions: list[RegionRecord],
     if obj.get("anatomy_labels") is not None:
         awhere = f"{where}: anatomy_labels"
         _require(isinstance(obj["anatomy_labels"], dict), awhere, "must be an object")
-        anatomy = {}
+        anatomy = np.zeros((header.n_regions, len(header.classes)))
+        listed = set()
         for key, names in obj["anatomy_labels"].items():
             try:
                 rid = int(key)
             except ValueError as exc:
                 raise DataError(f"{awhere}: region key {key!r} is not an integer") from exc
             _require(0 <= rid < header.n_regions, awhere, f"region key {key!r} outside 0..{header.n_regions - 1}")
-            _require(rid not in anatomy, awhere, f"region key {key!r} repeats region {rid}")
+            _require(rid not in listed, awhere, f"region key {key!r} repeats region {rid}")
+            listed.add(rid)
             _require(isinstance(names, list), awhere, f"classes of region {key!r} must be an array")
             for name in names:
                 _require(name in header.classes, awhere, f"unknown class name {name!r}")
-            anatomy[rid] = list(names)
+                anatomy[rid, header.classes.index(name)] = 1.0
     try:
         return ImageRecord(str(obj["image_id"]), regions, gt=gt, anatomy_labels=anatomy)
     except DataError as exc:
@@ -357,7 +369,8 @@ def _image_record_to_obj(rec: ImageRecord, header: DatasetHeader) -> dict:
         }
     if rec.anatomy_labels is not None:
         out["anatomy_labels"] = {
-            str(rid): list(names) for rid, names in rec.anatomy_labels.items()
+            str(rid): [name for name, v in zip(header.classes, row) if v > 0]
+            for rid, row in enumerate(rec.anatomy_labels.tolist())
         }
     return out
 
@@ -441,11 +454,7 @@ def read_predictions(path: str | Path) -> tuple[list[str], dict[str, list[Pathol
 def read_mapping(path: str | Path) -> ClassMapping:
     """Read a JSON mapping file: eval class -> {sources: [...], combiner: mean|max}."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON: {exc.msg}") from exc
+    obj = _loads(path.read_bytes(), str(path))
     if not isinstance(obj, dict) or not obj:
         raise DataError(f"{path}: mapping must be a non-empty object")
     entries = []
@@ -478,23 +487,19 @@ def records_to_train_samples(
 ) -> list[TrainSample]:
     """Build training samples; requires features and every region id 0..n_regions-1.
 
-    Rows are in region-id order, as the record stores them. Anatomy and
-    image labels are converted to matrices over the header vocabulary
-    where available.
+    Rows are in region-id order, as the record stores them. Anatomy labels
+    pass through as the record's matrix; image labels become a vector over
+    the header vocabulary where available.
     """
     samples = []
     index = {name: i for i, name in enumerate(header.classes)}
     n_classes = len(header.classes)
     for rec in records:
         features = rec.head_features(header.n_regions, "training")
-        anatomy = None
-        if rec.anatomy_labels is not None:
-            anatomy = np.zeros((header.n_regions, n_classes))
-            for rid, names in rec.anatomy_labels.items():
-                outside = f"anatomy_labels key {rid} outside 0..{header.n_regions - 1}"
-                _require(0 <= rid < header.n_regions, f"image {rec.image_id!r}", outside)
-                for name in names:
-                    anatomy[rid, index[name]] = 1.0
+        anatomy = rec.anatomy_labels
+        if anatomy is not None and anatomy.shape != (header.n_regions, n_classes):
+            wrong = f"anatomy_labels has shape {anatomy.shape}, expected {(header.n_regions, n_classes)}"
+            raise DataError(f"image {rec.image_id!r}: {wrong}")
         image_labels = None
         if rec.gt is not None:
             image_labels = np.zeros(n_classes)
@@ -532,10 +537,9 @@ def ground_truth_from_records(
     ids are named otherwise.
     """
     index = {name: i for i, name in enumerate(classes)}
-    images: dict[str, GtImage] = {}
+    images: dict[str, dict[int, Box]] = {}
     for rec in records:
         boxes: dict[int, Box] = {}
-        labels: set[int] = set()
         if rec.gt is not None:
             for name, box in rec.gt.boxes:
                 if name not in index:
@@ -550,8 +554,7 @@ def ground_truth_from_records(
                         f"image {rec.image_id!r}: image label {name!r} is not in the "
                         "evaluation vocabulary"
                     )
-                labels.add(index[name])
-        images[rec.image_id] = GtImage(boxes=boxes, labels=frozenset(labels))
+        images[rec.image_id] = boxes
     return GroundTruth(images=images, n_classes=len(classes))
 
 
@@ -572,12 +575,8 @@ def scene_to_record(scene, classes: tuple[str, ...]) -> ImageRecord:
             classes[c] for c in range(len(classes)) if scene.image_labels[c] > 0
         ],
     )
-    anatomy = {
-        rid: [classes[c] for c in range(len(classes)) if scene.anatomy_labels[rid, c] > 0]
-        for rid in range(scene.anatomy_labels.shape[0])
-    }
     return ImageRecord(
-        image_id=scene.image_id, regions=regions, gt=gt, anatomy_labels=anatomy
+        image_id=scene.image_id, regions=regions, gt=gt, anatomy_labels=scene.anatomy_labels
     )
 
 
@@ -631,7 +630,7 @@ def load_checkpoint(path: str | Path) -> tuple[HeadParams, CheckpointMeta]:
             feature_dim = _parse_count(manifest["feature_dim"], str(path), "feature_dim", 1)
         except KeyError as exc:
             raise DataError(f"{path}: checkpoint manifest missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # includes JSON and UTF-8 decoding errors
+        except (TypeError, ValueError, OverflowError) as exc:  # also JSON, UTF-8 and int(inf) errors
             raise DataError(f"{path}: malformed checkpoint manifest") from exc
         names = [name for name, _ in specs]
         if names != list(PARAM_FIELDS):

@@ -102,17 +102,6 @@ class HeadParams:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     @classmethod
-    def from_dict(cls, arrays: dict[str, np.ndarray]) -> "HeadParams":
-        """Parameters holding copies of ``arrays`` in a new vector; shapes follow ``pathology_weight``."""
-        n_classes, feature_dim = np.shape(arrays["pathology_weight"])
-        params = cls(np.zeros(_param_layout(feature_dim, n_classes)[-1][3]), feature_dim, n_classes)
-        for name, view in params.to_dict().items():
-            if np.shape(arrays[name]) != view.shape:
-                raise ValueError(f"{name} has shape {np.shape(arrays[name])}, expected {view.shape}")
-            view[...] = arrays[name]
-        return params
-
-    @classmethod
     def from_flat(cls, vec: np.ndarray, feature_dim: int, n_classes: int) -> "HeadParams":
         """Parameters whose arrays are views of ``vec`` (a contiguous float64 vector is not copied)."""
         return cls(np.ascontiguousarray(vec, dtype=np.float64).reshape(-1), feature_dim, n_classes)

@@ -111,10 +111,6 @@ class ClassMapping:
     def eval_classes(self) -> list[str]:
         return [e.eval_class for e in self.entries]
 
-    @classmethod
-    def identity(cls, classes: list[str]) -> "ClassMapping":
-        return cls(tuple(MappingEntry(c, (c,)) for c in classes))
-
     def resolve(self, train_classes: list[str]) -> "ResolvedMapping":
         """Bind source-class names to indices in the training vocabulary."""
         index = {name: i for i, name in enumerate(train_classes)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from proxydet.evaluation import EvalConfig, EvalReport, GtImage, ReportCounts
+from proxydet.evaluation import EvalConfig, EvalReport, ReportCounts
 from proxydet.fusion import FusionConfig, ScoredBox
 from proxydet.geometry import Box
 from proxydet.head import Batch, HeadParams, TrainConfig, TrainSample, batch_loss_and_grads, init_head_params
@@ -266,7 +266,7 @@ def average_precision_ref(
     return ap
 
 
-def _locacc_ref(predictions, images: dict[str, GtImage], cls, iou_threshold, score_threshold, positives_only):
+def _locacc_ref(predictions, images: dict[str, dict[int, Box]], cls, iou_threshold, score_threshold, positives_only):
     """Fraction of images judged correct for one class, or None with no image to judge."""
     by_image: dict[str, PathologyBox] = {}
     for image_id in predictions:
@@ -275,10 +275,10 @@ def _locacc_ref(predictions, images: dict[str, GtImage], cls, iou_threshold, sco
                 by_image[image_id] = p
     correct = 0
     considered = 0
-    for image_id, img in images.items():
+    for image_id, boxes in images.items():
         pred = by_image.get(image_id)
         fired = pred is not None and pred.score >= score_threshold
-        gt_box = img.boxes.get(cls)
+        gt_box = boxes.get(cls)
         if gt_box is not None:
             considered += 1
             if fired and iou_ref(pred.box, gt_box) >= iou_threshold:
@@ -292,7 +292,7 @@ def _locacc_ref(predictions, images: dict[str, GtImage], cls, iou_threshold, sco
 
 def evaluate_ref(
     predictions: dict[str, list[PathologyBox]],
-    images: dict[str, GtImage],
+    images: dict[str, dict[int, Box]],
     n_classes: int,
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalReport:
@@ -307,7 +307,7 @@ def evaluate_ref(
     ap, class_map = {}, {}
     for cls in range(n_classes):
         preds = [(i, p.box, p.score) for i in predictions for p in predictions[i] if p.class_id == cls]
-        boxes = {i: img.boxes[cls] for i, img in images.items() if cls in img.boxes}
+        boxes = {i: img[cls] for i, img in images.items() if cls in img}
         ap[cls] = {t: average_precision_ref(preds, boxes, t) for t in cfg.iou_thresholds}
         class_map[cls] = mean([v for v in ap[cls].values() if v is not None])
     loc_acc = {}
@@ -325,7 +325,7 @@ def evaluate_ref(
             loc_acc_macro[t] = mean(vals)
     counts = ReportCounts(
         images=len(images),
-        gt_boxes=sum(len(img.boxes) for img in images.values()),
+        gt_boxes=sum(len(img) for img in images.values()),
         predictions=sum(len(v) for v in predictions.values()),
     )
     return EvalReport(
@@ -471,7 +471,7 @@ def train_ref(samples: list[TrainSample], cfg: TrainConfig, n_classes: int):
     n = len(samples)
     size = min(cfg.batch_size, n)
     init = init_head_params(samples[0].features.shape[1], n_classes, np.random.default_rng([cfg.seed, 0]))
-    params = HeadParams.from_dict({k: v.copy() for k, v in init.to_dict().items()})
+    params = HeadParams(init.flat.copy(), init.feature_dim, n_classes)
     arrays = params.to_dict()
     opt = AdamWRef(cfg.lr, cfg.wd)
     rng = np.random.default_rng([cfg.seed, 1])

@@ -370,8 +370,11 @@ class TestRegionIds:
         [
             ({"1": ["a"], "01": ["b"]}, "anatomy_labels: region key '01' repeats region 1"),
             ({"2": ["a"]}, "anatomy_labels: region key '2' outside 0..1"),
+            ({"left": ["a"]}, "anatomy_labels: region key 'left' is not an integer"),
+            ({"0": "a"}, "anatomy_labels: classes of region '0' must be an array"),
+            ({"0": ["c"]}, "anatomy_labels: unknown class name 'c'"),
         ],
-        ids=["repeated", "out-of-range"],
+        ids=["repeated", "out-of-range", "not-an-integer", "classes-not-an-array", "unknown-class"],
     )
     def test_bad_anatomy_key_rejected(self, tmp_path, capsys, anatomy, message):
         data = tmp_path / "bad.jsonl"
@@ -470,6 +473,14 @@ class TestMalformedInferInput:
         err = capsys.readouterr().err
         assert "five.jsonl:2: regions[1]" in err and "finite" in err
 
+    def test_features_not_an_array(self, five_images, tmp_path, capsys):
+        def edit(record):
+            record["regions"][1]["features"] = "12"  # a string iterates as the numbers 1 and 2
+
+        _edit_first_record(five_images[0], edit)
+        assert self._infer(five_images, tmp_path) == 2
+        assert "five.jsonl:2: regions[1]: features must be an array of numbers" in capsys.readouterr().err
+
     def test_non_numeric_presence(self, five_images, tmp_path, capsys):
         def edit(record):
             record["regions"][0]["presence"] = "high"
@@ -552,6 +563,74 @@ class TestMalformedPredictions:
         assert "pred.jsonl:2: boxes[0]" in err and "must be an object" in err
 
 
+_HUGE_INT, _OVER_DIGIT_LIMIT, _BAD_UTF8 = b"1" + b"0" * 400, b"1" * 4301, b'"\xff"'
+
+
+def _write_raw(path, objs, raw: bytes) -> None:
+    """Write ``objs`` as JSON lines with the bytes ``raw`` in place of the string "@@"."""
+    text = "\n".join(json.dumps(obj) for obj in objs) + "\n"
+    path.write_bytes(text.encode().replace(b'"@@"', raw))
+
+
+class TestUnreadableValues:
+    """An integer past the float range or the digit limit, or a byte that is not UTF-8, is a DataError."""
+
+    @pytest.mark.parametrize(
+        "edit, raw, message",
+        [
+            (lambda r: r.update(presence="@@"), _HUGE_INT, "bad.jsonl:2: regions[0]: presence must be a number"),
+            (lambda r: r.update(box=[0.1, "@@", 0.5, 0.5]), _HUGE_INT, "bad.jsonl:2: regions[0]: int too large"),
+            (lambda r: r.update(features=["@@"]), _HUGE_INT, "bad.jsonl:2: regions[0]: features must be an array"),
+            (lambda r: r["pathology_probs"].update(a="@@"), _HUGE_INT, "bad.jsonl:2: regions[0]: probability for 'a'"),
+            (lambda r: r.update(presence="@@"), _OVER_DIGIT_LIMIT, "bad.jsonl:2: malformed JSON: Exceeds the limit"),
+            (lambda r: r.update(presence="@@"), _BAD_UTF8, "bad.jsonl:2: malformed JSON: 'utf-8' codec"),
+        ],
+        ids=["presence-overflow", "box-overflow", "features-overflow", "probability-overflow", "digits", "utf-8"],
+    )
+    def test_dataset(self, tmp_path, capsys, edit, raw, message):
+        data = tmp_path / "bad.jsonl"
+        _two_region_file(data, (0, 1))
+        header, record = (json.loads(line) for line in data.read_text().splitlines())
+        edit(record["regions"][0])
+        _write_raw(data, [header, record], raw)
+        assert _run("infer", "--data", data, "--probs-from-file", "--out", tmp_path / "p.jsonl") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (_HUGE_INT, "pred.jsonl:2: boxes[0]: score must be a number"),
+            (_OVER_DIGIT_LIMIT, "pred.jsonl:2: malformed JSON: Exceeds the limit"),
+            (_BAD_UTF8, "pred.jsonl:2: malformed JSON: 'utf-8' codec"),
+        ],
+        ids=["score-overflow", "digits", "utf-8"],
+    )
+    def test_predictions(self, tmp_path, capsys, raw, message):
+        gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+        _two_region_file(gt, (0, 1))
+        entry = {"class": "a", "box": [0.1, 0.1, 0.5, 0.5], "score": "@@"}
+        header = {"kind": "predictions", "version": 1, "classes": ["a", "b"]}
+        _write_raw(pred, [header, {"image_id": "img", "boxes": [entry]}], raw)
+        assert _run("eval", "--pred", pred, "--gt", gt, "--out-json", tmp_path / "r.json") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (_OVER_DIGIT_LIMIT, "map.json: malformed JSON: Exceeds the limit"),
+            (_BAD_UTF8, "map.json: malformed JSON: 'utf-8' codec"),
+        ],
+        ids=["digits", "utf-8"],
+    )
+    def test_mapping(self, tmp_path, capsys, raw, message):
+        data, mapping = tmp_path / "d.jsonl", tmp_path / "map.json"
+        _two_region_file(data, (0, 1))
+        _write_raw(mapping, [{"ab": {"sources": ["a", "b"], "combiner": "@@"}}], raw)
+        out = tmp_path / "p.jsonl"
+        assert _run("infer", "--data", data, "--probs-from-file", "--mapping", mapping, "--out", out) == 2
+        assert message in capsys.readouterr().err
+
+
 def _edit_manifest(ckpt, edit) -> None:
     """Apply ``edit`` to the JSON manifest (second line) of a checkpoint file."""
     magic, manifest, payload = ckpt.read_bytes().split(b"\n", 2)
@@ -601,9 +680,10 @@ class TestMalformedCheckpoint:
             (lambda m: m["arrays"][4].__setitem__("shape", [10**9, 10**9]), "array 'box_w1' has shape"),
             (lambda m: m["arrays"][0].__setitem__("shape", [5, 16, 10**12]), "but array 'pathology_weight' has shape"),
             (lambda m: m["arrays"][1].__setitem__("shape", [5.7]), "malformed checkpoint manifest"),
+            (lambda m: m.__setitem__("seed", float("inf")), "malformed checkpoint manifest"),
             (lambda m: m["arrays"].insert(2, m["arrays"][1]), "manifest lists arrays"),
         ],
-        ids=["overflow", "huge", "extra-dimension", "fractional", "listed-twice"],
+        ids=["overflow", "huge", "extra-dimension", "fractional", "infinite-seed", "listed-twice"],
     )
     def test_shape_outside_the_layout(self, five_images, tmp_path, capsys, edit, message):
         data, ckpt = five_images

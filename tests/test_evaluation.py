@@ -13,7 +13,6 @@ from proxydet.evaluation import (
     EvalConfig,
     EvalReport,
     GroundTruth,
-    GtImage,
     ReportCounts,
     average_precision,
     evaluate,
@@ -102,12 +101,7 @@ class TestAveragePrecision:
 
 
 def _gt(images: dict) -> GroundTruth:
-    return GroundTruth(
-        images={
-            k: GtImage(boxes=v, labels=frozenset(v.keys())) for k, v in images.items()
-        },
-        n_classes=2,
-    )
+    return GroundTruth(images=images, n_classes=2)
 
 
 def _pred(img_boxes: dict) -> dict:
@@ -246,10 +240,6 @@ class TestEvaluate:
         assert report.counts.images == 20
         assert report.counts.predictions == 40
 
-    def test_gt_image_label_superset_enforced(self):
-        with pytest.raises(DataError):
-            GtImage(boxes={0: B}, labels=frozenset())
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(iou_thresholds=(0.0, 0.5))
@@ -272,7 +262,7 @@ class TestEvaluate:
 
     def test_out_of_range_ground_truth_class_rejected(self):
         for cls in (-1, 2):
-            images = {"a": GtImage(boxes={}, labels=frozenset()), "b": GtImage({cls: B}, frozenset({cls}))}
+            images = {"a": {}, "b": {cls: B}}
             with pytest.raises(DataError, match=f"image 'b': ground-truth class id {cls} outside 0..1"):
                 GroundTruth(images=images, n_classes=2)
 
@@ -318,7 +308,7 @@ def _eval_cases(draw):
     images = {}
     for image_id in ids:
         boxes = {c: draw(any_box()) for c in draw(classes)}
-        images[image_id] = GtImage(boxes=boxes, labels=frozenset(boxes))
+        images[image_id] = boxes
     predicted = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
     predictions = {
         image_id: [PathologyBox(c, draw(any_box()), draw(score)) for c in draw(classes)]
@@ -349,7 +339,7 @@ class TestMatchesScalarEvaluator:
             images, predictions = {}, {}
             for i in range(60):
                 boxes = {c: random_box(rng) for c in range(4) if rng.random() < 0.4}
-                images[f"i{i:02d}"] = GtImage(boxes=boxes, labels=frozenset(boxes))
+                images[f"i{i:02d}"] = boxes
                 scores = rng.choice([0.25, 0.5, 0.75, 0.9], size=4) if rng.random() < 0.5 else rng.uniform(size=4)
                 predictions[f"i{i:02d}"] = [
                     PathologyBox(c, random_box(rng), float(scores[c])) for c in range(4) if rng.random() < 0.8
@@ -370,7 +360,7 @@ def _golden_case():
             boxes[1] = b1
         if i % 4 == 1:
             boxes[2] = b2
-        images[f"img{i}"] = GtImage(boxes=boxes, labels=frozenset(boxes))
+        images[f"img{i}"] = boxes
         shifted = Box(0.2 + 0.02 * i, 0.2, 0.6 + 0.02 * i, 0.6)
         row = [PathologyBox(0, shifted, [0.9, 0.8, 0.8, 0.7, 0.6, 0.5, 0.75, 0.3, 0.2, 0.1][i])]
         if i % 3 == 0:

@@ -70,7 +70,20 @@ class TestDatasetRoundTrip:
             assert np.array_equal(a.features, b.features)
             assert a.gt.boxes == b.gt.boxes
             assert a.gt.image_labels == b.gt.image_labels
-            assert a.anatomy_labels == b.anatomy_labels
+            assert np.array_equal(a.anatomy_labels, b.anatomy_labels)
+        again = tmp_path / "again.jsonl"
+        formats.write_dataset(again, header2, records2)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_unlisted_regions_read_as_rows_of_zeros(self, tmp_path):
+        path = tmp_path / "partial.jsonl"
+        header = {"kind": "dataset", "version": 1, "classes": ["a", "b", "c"], "n_regions": 3}
+        record = {"image_id": "img", "regions": [], "anatomy_labels": {"1": ["c", "a"]}}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        _, (rec,) = formats.read_dataset(path)
+        assert rec.anatomy_labels.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        formats.write_dataset(path, formats.DatasetHeader(("a", "b", "c"), 3), [rec])
+        assert json.loads(path.read_text().splitlines()[1])["anatomy_labels"] == {"0": [], "1": ["a", "c"], "2": []}
 
     def test_edge_values_roundtrip_bit_for_bit(self, tmp_path):
         header = formats.DatasetHeader(classes=("a",), n_regions=1, feature_dim=len(EDGE_FLOATS))
@@ -88,7 +101,7 @@ class TestDatasetRoundTrip:
             formats.RegionRecord(0, Box(0.1, 0.2, 0.1 + 0.2, 0.7), 1.0, np.array([1 / 3, 2.0, 5e-324])),
         ]
         gt = formats.GtRecord(boxes=[("b", Box(0.1, 0.2, 0.3, 0.4))], image_labels=["b"])
-        record = formats.ImageRecord("img", regions, gt=gt, anatomy_labels={0: ["b"], 1: []})
+        record = formats.ImageRecord("img", regions, gt=gt, anatomy_labels=np.array([[0.0, 1.0], [0.0, 0.0]]))
         path = tmp_path / "d.jsonl"
         formats.write_dataset(path, header, [record])
         assert path.read_text().splitlines() == [
@@ -413,7 +426,8 @@ class TestTrainSampleConversion:
         cfg, header, records, _ = _sample_dataset(tmp_path)
         samples = formats.records_to_train_samples(header, records)
         scenes = generate_dataset(cfg)
-        for sample, scene in zip(samples, scenes):
+        for sample, scene, record in zip(samples, scenes, records):
+            assert sample.anatomy_labels is record.anatomy_labels
             assert np.array_equal(sample.features, scene.features)
             assert np.array_equal(sample.present, scene.present)
             assert np.array_equal(sample.anatomy_labels, scene.anatomy_labels)
@@ -433,12 +447,13 @@ class TestTrainSampleConversion:
 
     @pytest.mark.parametrize("past_end", [False, True])
     def test_anatomy_key_outside_regions_rejected(self, tmp_path, past_end):
-        # numpy would wrap -1 to the last region and raise IndexError past the end
+        # a code-built matrix with a row past the last region id, or too few rows
         _, header, records, _ = _sample_dataset(tmp_path)
-        key = header.n_regions if past_end else -1
-        records[1].anatomy_labels = {key: [header.classes[0]]}
-        message = f"image '{records[1].image_id}': anatomy_labels key {key} outside 0..{header.n_regions - 1}"
-        with pytest.raises(DataError, match=message):
+        shape = (header.n_regions + (1 if past_end else -1), len(header.classes))
+        records[1].anatomy_labels = np.zeros(shape)
+        expected = (header.n_regions, len(header.classes))
+        message = f"image '{records[1].image_id}': anatomy_labels has shape {shape}, expected {expected}"
+        with pytest.raises(DataError, match=re.escape(message)):
             formats.records_to_train_samples(header, records)
 
 
@@ -581,12 +596,10 @@ class TestCheckpoint:
 
 class TestReports:
     def _report(self, tmp_path):
-        from proxydet.evaluation import GroundTruth, GtImage
+        from proxydet.evaluation import GroundTruth
 
         b = Box(0.2, 0.2, 0.6, 0.6)
-        gt = GroundTruth(
-            images={"a": GtImage(boxes={0: b}, labels=frozenset({0}))}, n_classes=2
-        )
+        gt = GroundTruth(images={"a": {0: b}}, n_classes=2)
         preds = {"a": [PathologyBox(0, b, 0.9)]}
         return evaluate(preds, gt, EvalConfig(), class_names=["x", "y"])
 

@@ -266,13 +266,6 @@ class TestBackward:
 
 
 class TestHeadParams:
-    def test_from_dict_of_to_dict_is_a_byte_equal_copy(self):
-        params = _params()
-        copy = HeadParams.from_dict(params.to_dict())
-        assert copy.flat.tobytes() == params.flat.tobytes()
-        assert not np.shares_memory(copy.flat, params.flat)
-        assert (copy.feature_dim, copy.n_classes) == (6, 3)
-
     def test_from_flat_shares_memory_with_its_vector(self):
         vec = np.arange(_params().flat.size, dtype=np.float64)
         params = HeadParams.from_flat(vec, 6, 3)
@@ -294,12 +287,6 @@ class TestHeadParams:
         # D=6, C=3 take 3*6 + 3 + 6 + 1 + 2*(6*6 + 6) + 4*6 + 4 = 140 values
         with pytest.raises(ValueError, match="float64 vector of length 140"):
             HeadParams(vec, 6, 3)
-
-    def test_from_dict_rejects_a_wrong_shape(self):
-        arrays = _params().to_dict()
-        arrays["box_b1"] = np.zeros(5)
-        with pytest.raises(ValueError, match="box_b1"):
-            HeadParams.from_dict(arrays)
 
 
 class TestAdamW:

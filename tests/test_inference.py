@@ -58,7 +58,7 @@ class TestClassMapping:
         assert out.pathology_probs[0, 0] == 0.6
 
     def test_box_and_presence_untouched(self):
-        mapping = ClassMapping.identity(TRAIN_CLASSES).resolve(TRAIN_CLASSES)
+        mapping = ClassMapping(tuple(MappingEntry(c, (c,)) for c in TRAIN_CLASSES)).resolve(TRAIN_CLASSES)
         det = _det(
             [Box(0.1, 0.2, 0.4, 0.5), Box(0.3, 0.3, 0.9, 0.8)],
             [0.77, 0.2],

@@ -35,10 +35,10 @@ def test_unused_import_check_flags_a_stale_import():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    package = Path(proxydet.__file__).parent
+    package, tests = Path(proxydet.__file__).parent, Path(__file__).parent
     stale = {
-        path.name: found
-        for path in sorted(package.glob("*.py"))
+        f"{path.parent.name}/{path.name}": found
+        for path in sorted([*package.glob("*.py"), *tests.glob("*.py")])
         if path.name != "__init__.py" and (found := _unused_imports(path.read_text()))
     }
     assert stale == {}
