@@ -8,7 +8,9 @@ Dataset and prediction files are self-describing — the first JSONL line
 is a header record declaring the class vocabulary.
 
 Readers reject malformed input with errors naming the file, line, and
-field.
+field. The dataset reader turns each record's regions into arrays in one
+pass, with no object per region; only input that fails an array check is
+gone over again, one value at a time, to name its first fault.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import operator
 from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +67,11 @@ class DatasetHeader:
 
 @dataclass(eq=False)
 class RegionRecord:
+    """One region as code builds it; :class:`ImageRecord` stacks a list of them.
+
+    The dataset reader builds the arrays directly and makes none of these.
+    """
+
     region_id: int
     box: Box
     presence: float
@@ -79,13 +87,17 @@ class GtRecord:
 
 @dataclass(eq=False)
 class ImageRecord:
-    """One image: its regions stacked once, in region-id order, plus optional labels.
+    """One image: its regions as arrays in region-id order, plus optional labels.
 
-    ``regions`` is read only by the constructor and may come in any order.
-    Row ``i`` of every array is region ``region_ids[i]``, ids increasing, so
-    score ties fuse in id order. ``features`` and ``pathology_probs`` are None
-    unless every region (at least one) has them; a repeated id is a DataError.
-    ``anatomy_labels`` is the exception: one row per id ``0..n_regions-1``.
+    :meth:`from_arrays` is the core: it takes the region rows in any order,
+    puts them in id order and rejects a repeated id, and the dataset reader
+    and :func:`scene_to_record` call it. The constructor is an adapter that
+    stacks ``regions``, a list of :class:`RegionRecord` in any order, and
+    hands the arrays to the same core. Row ``i`` of every array is region
+    ``region_ids[i]``, ids increasing, so score ties fuse in id order.
+    ``features`` and ``pathology_probs`` are None unless every region (at
+    least one) has them. ``anatomy_labels`` is the exception: one row per id
+    ``0..n_regions-1``.
     """
 
     image_id: str
@@ -99,18 +111,43 @@ class ImageRecord:
     pathology_probs: np.ndarray | None = field(init=False)  # (R, C), header class order
 
     def __post_init__(self, regions: list[RegionRecord]):
-        regions = sorted(regions, key=lambda reg: reg.region_id)
-        ids = [reg.region_id for reg in regions]
-        for a, b in zip(ids, ids[1:]):
-            if a == b:
-                raise DataError(f"image {self.image_id!r}: region id {a} appears more than once")
-        self.region_ids = np.array(ids, dtype=np.int64)
-        self.boxes = np.array([reg.box.as_tuple() for reg in regions], dtype=np.float64).reshape(-1, 4)
-        self.presence = np.array([reg.presence for reg in regions], dtype=np.float64)
-        for name in ("features", "pathology_probs"):
-            rows = [getattr(reg, name) for reg in regions]
-            complete = rows and all(row is not None for row in rows)
-            setattr(self, name, np.array(rows, dtype=np.float64) if complete else None)
+        def stacked(rows):
+            return np.array(rows, dtype=np.float64) if rows and all(row is not None for row in rows) else None
+
+        self._set_rows(
+            np.array([reg.region_id for reg in regions], dtype=np.int64),
+            np.array([reg.box.as_tuple() for reg in regions], dtype=np.float64).reshape(-1, 4),
+            np.array([reg.presence for reg in regions], dtype=np.float64),
+            stacked([reg.features for reg in regions]),
+            stacked([reg.pathology_probs for reg in regions]),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, image_id: str, region_ids: np.ndarray, boxes: np.ndarray, presence: np.ndarray,
+        features: np.ndarray | None = None, pathology_probs: np.ndarray | None = None,
+        gt: GtRecord | None = None, anatomy_labels: np.ndarray | None = None,
+    ) -> ImageRecord:
+        """A record from region rows in any order: ``(R,)`` ids, ``(R, 4)`` boxes, ``(R,)`` presence."""
+        rec = cls.__new__(cls)
+        rec.image_id, rec.gt, rec.anatomy_labels = image_id, gt, anatomy_labels
+        rec._set_rows(region_ids, boxes, presence, features, pathology_probs)
+        return rec
+
+    def _set_rows(self, region_ids, boxes, presence, features, pathology_probs) -> None:
+        if not len(region_ids):
+            features = pathology_probs = None
+        elif not (region_ids[1:] > region_ids[:-1]).all():
+            order = np.argsort(region_ids, kind="stable")
+            region_ids = region_ids[order]
+            repeated = region_ids[1:][region_ids[1:] == region_ids[:-1]]
+            if repeated.size:
+                raise DataError(f"image {self.image_id!r}: region id {repeated[0]} appears more than once")
+            boxes, presence = boxes[order], presence[order]
+            features = None if features is None else features[order]
+            pathology_probs = None if pathology_probs is None else pathology_probs[order]
+        self.region_ids, self.boxes, self.presence = region_ids, boxes, presence
+        self.features, self.pathology_probs = features, pathology_probs
 
     def head_features(self, n_regions: int, purpose: str) -> np.ndarray:
         """The ``(n_regions, D)`` head input; heads number rows by region id, so every id must be here."""
@@ -154,32 +191,6 @@ def _parse_classes(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _parse_features(value, where: str) -> np.ndarray:
-    _require(isinstance(value, list), where, "features must be an array of numbers")
-    try:
-        features = np.asarray([float(v) for v in value], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{where}: features must be an array of numbers") from exc
-    # json reads NaN and Infinity tokens; no head output is defined for them
-    _require(
-        bool(np.isfinite(features).all()), where, "features must be finite (NaN or Infinity found)"
-    )
-    return features
-
-
-def _parse_probs(value, index: dict[str, int], where: str) -> np.ndarray:
-    """Probabilities by class; ``index`` maps each header class name to its column."""
-    _require(isinstance(value, dict), where, "pathology_probs must be an object")
-    out = np.zeros(len(index))
-    for name, p in value.items():
-        if name not in index:
-            raise DataError(f"{where}: unknown class name {name!r}")
-        p = _parse_number(p, where, f"probability for {name!r}")
-        _require(0.0 <= p <= 1.0, where, f"probability for {name!r} outside [0, 1]")
-        out[index[name]] = p
-    return out
-
-
 def _loads(raw: bytes, where: str):
     """Parse UTF-8 JSON text; invalid bytes, bad syntax or an over-long integer is a DataError."""
     try:
@@ -209,6 +220,10 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
     Every region's features have one length: the header's ``feature_dim``
     or, when the header leaves it out, the first length in the file. The
     returned header carries that length (None when no region has features).
+
+    Each record's regions go straight into arrays (:func:`_region_columns`).
+    When those arrays fail a check, :func:`_raise_region_fault` goes through
+    the rows one at a time, in file order, and names the first fault.
     """
     path = Path(path)
     header: DatasetHeader | None = None
@@ -231,33 +246,163 @@ def read_dataset(path: str | Path) -> tuple[DatasetHeader, list[ImageRecord]]:
                 raise DataError(f"{where}: header missing field {exc}") from exc
             feature_dim, dim_source = header.feature_dim, "header feature_dim"
             class_index = {name: i for i, name in enumerate(header.classes)}
+            prob_columns: dict[tuple, np.ndarray | None] = {}  # per tuple of pathology_probs names
             continue
         _require("image_id" in obj, where, "missing image_id")
         _require("regions" in obj and isinstance(obj["regions"], list), where, "missing regions array")
-        regions = list(_parse_regions(obj["regions"], header, class_index, where))
-        for i, reg in enumerate(regions):
-            if reg.features is None:
-                continue
-            if feature_dim is None:
-                feature_dim, dim_source = len(reg.features), f"first length in the file, line {line_no}"
-            _require(
-                len(reg.features) == feature_dim,
-                f"{where}: regions[{i}]",
-                f"features length {len(reg.features)} != {feature_dim} ({dim_source})",
-            )
-        record = _parse_image_record(obj, header, regions, where)
-        first = first_line.setdefault(record.image_id, line_no)
-        _require(
-            first == line_no, where, f"duplicate image id {record.image_id!r} (first at line {first})"
-        )
+        rows = obj["regions"]
+        if feature_dim is None:  # this record's lengths, if any, set it
+            dim_source = f"first length in the file, line {line_no}"
+        regions = _region_columns(rows, header.n_regions, class_index, prob_columns) if rows else _no_regions()
+        if regions is None or feature_dim is not None and regions.feature_dim not in (None, feature_dim):
+            _raise_region_fault(rows, header.n_regions, class_index, feature_dim, dim_source, where)
+        if feature_dim is None:
+            feature_dim = regions.feature_dim
+        gt, anatomy = _parse_gt(obj, header, where), _parse_anatomy(obj, header, where)
+        image_id = str(obj["image_id"])
+        try:
+            record = ImageRecord.from_arrays(image_id, *regions[:5], gt=gt, anatomy_labels=anatomy)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        first = first_line.setdefault(image_id, line_no)
+        _require(first == line_no, where, f"duplicate image id {image_id!r} (first at line {first})")
         records.append(record)
     _require(header is not None, str(path), "empty file (missing header)")
     return replace(header, feature_dim=feature_dim), records
 
 
-def _parse_regions(rows: list, header: DatasetHeader, class_index: dict[str, int], where: str):
-    """Yield one :class:`RegionRecord` per row, in file order."""
-    n_regions = header.n_regions
+class _Regions(NamedTuple):
+    """One record's regions as arrays, rows in file order."""
+
+    region_ids: np.ndarray  # (R,) int64
+    boxes: np.ndarray  # (R, 4)
+    presence: np.ndarray  # (R,)
+    features: np.ndarray | None  # (R, D) when every row has features
+    pathology_probs: np.ndarray | None  # (R, C) when every row has probabilities
+    feature_dim: int | None  # the rows' feature length; None when no row has features
+
+
+def _no_regions() -> _Regions:
+    return _Regions(np.empty(0, dtype=np.int64), np.empty((0, 4)), np.empty(0), None, None, None)
+
+
+def _probability_block(objs: list[dict], class_index: dict[str, int], columns: dict) -> np.ndarray | None:
+    """``pathology_probs`` objects as one ``(R, C)`` block in header class order, missing classes 0.
+
+    None when a name is not a header class or a value is outside [0, 1]; a
+    value float() refuses raises TypeError, ValueError or OverflowError.
+    ``columns`` caches the header columns of each tuple of names for the
+    whole file; a record's rows usually share one tuple.
+    """
+    names = [tuple(obj) for obj in objs]
+    if names.count(names[0]) == len(names):  # the usual case: every row names the same classes
+        groups = [(names[0], objs, slice(None))]
+    else:
+        rows_of: dict[tuple, list[int]] = {}
+        for i, key in enumerate(names):
+            rows_of.setdefault(key, []).append(i)
+        groups = [(key, [objs[i] for i in rows], np.array(rows)[:, None]) for key, rows in rows_of.items()]
+    block = np.zeros((len(objs), len(class_index)))
+    for key, group, rows in groups:
+        if key not in columns:
+            index = [class_index.get(name) for name in key]
+            columns[key] = None if None in index else np.array(index, dtype=np.intp)
+        values = np.array([list(obj.values()) for obj in group], dtype=np.float64)
+        # the shape check also stops a one-element array value broadcasting into a (1, 1) block
+        if columns[key] is None or values.shape != (len(group), len(key)):
+            return None
+        block[rows, columns[key]] = values
+    return block if block.min() >= 0.0 and block.max() <= 1.0 else None  # NaN fails too
+
+
+def _region_columns(rows: list, n_regions: int, class_index: dict[str, int], columns: dict) -> _Regions | None:
+    """A non-empty list of region objects as arrays, or None when anything in it is wrong.
+
+    One pass over the rows checks that each is an object with an integer
+    ``region_id`` in range and gathers each field into a list. Each list then
+    becomes one array, checked as a whole: boxes, presence, features and
+    probabilities each take one ``np.array`` call, and a NaN fails every range
+    check. What the arrays accept is what the row-by-row checks of
+    :func:`_raise_region_fault` accept, value for value.
+    """
+    ids, boxes, presence, features, probs = [], [], [], [], []
+    for reg in rows:
+        if type(reg) is not dict:
+            return None
+        region_id = reg.get("region_id")
+        if type(region_id) is not int or not 0 <= region_id < n_regions:  # a bool is not an int here
+            return None
+        ids.append(region_id)
+        boxes.append(reg.get("box"))
+        presence.append(reg.get("presence", 1.0))
+        if (value := reg.get("features")) is not None:
+            features.append(value)
+        if (value := reg.get("pathology_probs")) is not None:
+            if type(value) is not dict:
+                return None
+            probs.append(value)
+    n = len(rows)
+    try:  # a value float() refuses, or rows of unequal length
+        box_array = np.array(boxes, dtype=np.float64)
+        presence_array = np.array(presence, dtype=np.float64)
+        feature_array = np.array(features, dtype=np.float64) if features else None
+        prob_array = _probability_block(probs, class_index, columns) if probs else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # a box is a 4-element array: a string, an object or a nested array changes the shape
+    if box_array.shape != (n, 4) or not (
+        box_array.min() >= 0.0 and box_array.max() <= 1.0 and (box_array[:, 2:] >= box_array[:, :2]).all()
+    ):
+        return None
+    if presence_array.shape != (n,) or not (presence_array.min() >= 0.0 and presence_array.max() <= 1.0):
+        return None
+    if feature_array is not None and not (feature_array.ndim == 2 and np.isfinite(feature_array).all()):
+        return None
+    if probs and prob_array is None:
+        return None
+    return _Regions(
+        np.array(ids, dtype=np.int64),
+        box_array,
+        presence_array,
+        feature_array if len(features) == n else None,
+        prob_array if len(probs) == n else None,
+        None if feature_array is None else feature_array.shape[1],
+    )
+
+
+def _parse_features(value, where: str) -> np.ndarray:
+    _require(isinstance(value, list), where, "features must be an array of numbers")
+    try:
+        features = np.asarray([float(v) for v in value], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: features must be an array of numbers") from exc
+    # json reads NaN and Infinity tokens; no head output is defined for them
+    _require(
+        bool(np.isfinite(features).all()), where, "features must be finite (NaN or Infinity found)"
+    )
+    return features
+
+
+def _check_probs(value, class_index: dict[str, int], where: str) -> None:
+    _require(isinstance(value, dict), where, "pathology_probs must be an object")
+    for name, p in value.items():
+        if name not in class_index:
+            raise DataError(f"{where}: unknown class name {name!r}")
+        p = _parse_number(p, where, f"probability for {name!r}")
+        _require(0.0 <= p <= 1.0, where, f"probability for {name!r} outside [0, 1]")
+
+
+def _raise_region_fault(
+    rows: list, n_regions: int, class_index: dict[str, int], feature_dim: int | None, dim_source: str, where: str
+) -> None:
+    """Raise the error for the first fault in ``rows``, checking one row and one value at a time.
+
+    Only rows that :func:`_region_columns` rejected come here. Rows are
+    checked in file order; within a row, ``region_id``, presence, features,
+    probabilities and the box, in that order; feature lengths after every
+    row. ``feature_dim`` None takes the first length found.
+    """
+    lengths = []
     for i, reg in enumerate(rows):
         rwhere = f"{where}: regions[{i}]"
         _require(isinstance(reg, dict), rwhere, "must be an object")
@@ -271,68 +416,83 @@ def _parse_regions(rows: list, header: DatasetHeader, class_index: dict[str, int
         _require(0 <= region_id < n_regions, rwhere, f"region_id {region_id} outside 0..{n_regions - 1}")
         presence = _parse_number(reg.get("presence", 1.0), rwhere, "presence")
         _require(0.0 <= presence <= 1.0, rwhere, "presence outside [0, 1]")
-        features, probs = reg.get("features"), reg.get("pathology_probs")
-        # keyword order is parse order: a region's first fault is the one reported
-        yield RegionRecord(
-            region_id=region_id,
-            presence=presence,
-            features=None if features is None else _parse_features(features, rwhere),
-            pathology_probs=None if probs is None else _parse_probs(probs, class_index, rwhere),
-            box=_parse_box(reg.get("box"), rwhere),
-        )
-
-
-def _parse_image_record(obj, header: DatasetHeader, regions: list[RegionRecord], where: str) -> ImageRecord:
-    gt = None
-    if obj.get("gt") is not None:
-        gwhere = f"{where}: gt"
-        gobj = obj["gt"]
-        _require(isinstance(gobj, dict), gwhere, "must be an object")
-        _require(isinstance(gobj.get("boxes", []), list), gwhere, "boxes must be an array")
-        boxes = []
-        seen = set()
-        for i, entry in enumerate(gobj.get("boxes", [])):
-            _require(isinstance(entry, dict), f"{gwhere}.boxes[{i}]", "must be an object")
-            name = entry.get("class")
-            _require(name in header.classes, f"{gwhere}.boxes[{i}]", f"unknown class name {name!r}")
-            _require(name not in seen, f"{gwhere}.boxes[{i}]", f"duplicate box for class {name!r}")
-            seen.add(name)
-            boxes.append((name, _parse_box(entry.get("box"), f"{gwhere}.boxes[{i}]")))
-        labels = gobj.get("image_labels", [])
-        _require(isinstance(labels, list), gwhere, "image_labels must be an array")
-        for name in labels:
-            _require(name in header.classes, gwhere, f"unknown class name {name!r} in image_labels")
+        if (features := reg.get("features")) is not None:
+            lengths.append((i, len(_parse_features(features, rwhere))))
+        if (probs := reg.get("pathology_probs")) is not None:
+            _check_probs(probs, class_index, rwhere)
+        _parse_box(reg.get("box"), rwhere)
+    for i, length in lengths:
+        feature_dim = length if feature_dim is None else feature_dim
         _require(
-            seen.issubset(labels),
-            gwhere,
-            "image_labels must include every class with a ground-truth box",
+            length == feature_dim,
+            f"{where}: regions[{i}]",
+            f"features length {length} != {feature_dim} ({dim_source})",
         )
-        gt = GtRecord(boxes=boxes, image_labels=labels)
-    anatomy = None
-    if obj.get("anatomy_labels") is not None:
-        awhere = f"{where}: anatomy_labels"
-        _require(isinstance(obj["anatomy_labels"], dict), awhere, "must be an object")
-        anatomy = np.zeros((header.n_regions, len(header.classes)))
-        listed = set()
-        for key, names in obj["anatomy_labels"].items():
-            try:
-                rid = int(key)
-            except ValueError as exc:
-                raise DataError(f"{awhere}: region key {key!r} is not an integer") from exc
-            _require(0 <= rid < header.n_regions, awhere, f"region key {key!r} outside 0..{header.n_regions - 1}")
-            _require(rid not in listed, awhere, f"region key {key!r} repeats region {rid}")
-            listed.add(rid)
-            _require(isinstance(names, list), awhere, f"classes of region {key!r} must be an array")
-            for name in names:
-                _require(name in header.classes, awhere, f"unknown class name {name!r}")
-                anatomy[rid, header.classes.index(name)] = 1.0
-    try:
-        return ImageRecord(str(obj["image_id"]), regions, gt=gt, anatomy_labels=anatomy)
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from exc
+    raise DataError(f"{where}: regions could not be read")  # not reached: the checks above mirror the arrays'
+
+
+def _parse_gt(obj, header: DatasetHeader, where: str) -> GtRecord | None:
+    if obj.get("gt") is None:
+        return None
+    gwhere = f"{where}: gt"
+    gobj = obj["gt"]
+    _require(isinstance(gobj, dict), gwhere, "must be an object")
+    _require(isinstance(gobj.get("boxes", []), list), gwhere, "boxes must be an array")
+    boxes = []
+    seen = set()
+    for i, entry in enumerate(gobj.get("boxes", [])):
+        _require(isinstance(entry, dict), f"{gwhere}.boxes[{i}]", "must be an object")
+        name = entry.get("class")
+        _require(name in header.classes, f"{gwhere}.boxes[{i}]", f"unknown class name {name!r}")
+        _require(name not in seen, f"{gwhere}.boxes[{i}]", f"duplicate box for class {name!r}")
+        seen.add(name)
+        boxes.append((name, _parse_box(entry.get("box"), f"{gwhere}.boxes[{i}]")))
+    labels = gobj.get("image_labels", [])
+    _require(isinstance(labels, list), gwhere, "image_labels must be an array")
+    for name in labels:
+        _require(name in header.classes, gwhere, f"unknown class name {name!r} in image_labels")
+    _require(
+        seen.issubset(labels),
+        gwhere,
+        "image_labels must include every class with a ground-truth box",
+    )
+    return GtRecord(boxes=boxes, image_labels=labels)
+
+
+def _parse_anatomy(obj, header: DatasetHeader, where: str) -> np.ndarray | None:
+    """The ``(n_regions, C)`` 0/1 matrix; each key is a region id in ASCII decimal digits."""
+    if obj.get("anatomy_labels") is None:
+        return None
+    awhere = f"{where}: anatomy_labels"
+    _require(isinstance(obj["anatomy_labels"], dict), awhere, "must be an object")
+    anatomy = np.zeros((header.n_regions, len(header.classes)))
+    listed = set()
+    for key, names in obj["anatomy_labels"].items():
+        # int() alone would also read "1_1" as 11 and " 1", "+1" or non-ASCII digits as 1
+        _require(key.isascii() and key.isdigit(), awhere, f"region key {key!r} is not an integer")
+        rid = int(key)
+        _require(0 <= rid < header.n_regions, awhere, f"region key {key!r} outside 0..{header.n_regions - 1}")
+        _require(rid not in listed, awhere, f"region key {key!r} repeats region {rid}")
+        listed.add(rid)
+        _require(isinstance(names, list), awhere, f"classes of region {key!r} must be an array")
+        for name in names:
+            _require(name in header.classes, awhere, f"unknown class name {name!r}")
+            anatomy[rid, header.classes.index(name)] = 1.0
+    return anatomy
+
+
+def _check_anatomy_shape(rec: ImageRecord, header: DatasetHeader) -> None:
+    """A record's ``anatomy_labels`` must be ``(n_regions, C)`` under ``header``."""
+    expected = (header.n_regions, len(header.classes))
+    if rec.anatomy_labels is not None and rec.anatomy_labels.shape != expected:
+        raise DataError(
+            f"image {rec.image_id!r}: anatomy_labels has shape {rec.anatomy_labels.shape}, expected {expected}"
+        )
 
 
 def write_dataset(path: str | Path, header: DatasetHeader, records: list[ImageRecord]) -> None:
+    for rec in records:  # before the file is opened: a wrong matrix writes nothing
+        _check_anatomy_shape(rec, header)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             canonical_json(
@@ -496,10 +656,7 @@ def records_to_train_samples(
     n_classes = len(header.classes)
     for rec in records:
         features = rec.head_features(header.n_regions, "training")
-        anatomy = rec.anatomy_labels
-        if anatomy is not None and anatomy.shape != (header.n_regions, n_classes):
-            wrong = f"anatomy_labels has shape {anatomy.shape}, expected {(header.n_regions, n_classes)}"
-            raise DataError(f"image {rec.image_id!r}: {wrong}")
+        _check_anatomy_shape(rec, header)
         image_labels = None
         if rec.gt is not None:
             image_labels = np.zeros(n_classes)
@@ -510,7 +667,7 @@ def records_to_train_samples(
                 features=features,
                 target_boxes=corner_to_center_batch(rec.boxes),
                 present=rec.presence >= 0.5,
-                anatomy_labels=anatomy,
+                anatomy_labels=rec.anatomy_labels,
                 image_labels=image_labels,
             )
         )
@@ -560,23 +717,21 @@ def ground_truth_from_records(
 
 def scene_to_record(scene, classes: tuple[str, ...]) -> ImageRecord:
     """Convert a synthetic scene into the dataset record schema."""
-    regions = [
-        RegionRecord(
-            region_id=i,
-            box=scene.region_boxes[i],
-            presence=1.0 if scene.present[i] else 0.0,
-            features=scene.features[i],
-        )
-        for i in range(len(scene.region_boxes))
-    ]
     gt = GtRecord(
         boxes=[(classes[b.class_id], b.box) for b in scene.gt_boxes],
         image_labels=[
             classes[c] for c in range(len(classes)) if scene.image_labels[c] > 0
         ],
     )
-    return ImageRecord(
-        image_id=scene.image_id, regions=regions, gt=gt, anatomy_labels=scene.anatomy_labels
+    n = len(scene.region_boxes)
+    return ImageRecord.from_arrays(
+        scene.image_id,
+        np.arange(n, dtype=np.int64),
+        np.array([box.as_tuple() for box in scene.region_boxes], dtype=np.float64).reshape(n, 4),
+        scene.present.astype(np.float64),
+        features=scene.features,
+        gt=gt,
+        anatomy_labels=scene.anatomy_labels,
     )
 
 

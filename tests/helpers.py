@@ -7,12 +7,19 @@ candidate references are the sequential definitions the array code in
 ``proxydet`` must reproduce bit for bit, as are the per-pair GIoU and
 center/size conversion, the per-column GIoU gradient, the
 array-by-array training loop and the per-class, per-threshold evaluator.
+The region-by-region dataset reader is the one the columnar reader in
+``proxydet.formats`` must match array for array and error for error.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
+from proxydet import formats
+from proxydet.errors import DataError
 from proxydet.evaluation import EvalConfig, EvalReport, ReportCounts
 from proxydet.fusion import FusionConfig, ScoredBox
 from proxydet.geometry import Box
@@ -493,3 +500,118 @@ def train_ref(samples: list[TrainSample], cfg: TrainConfig, n_classes: int):
         opt.step(arrays, {k: np.array(v) for k, v in grads.to_dict().items()})
         history.append((step, breakdown))
     return params, history
+
+
+def _ref_number(value, where: str, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: {field} must be a number, got {value!r}") from exc
+
+
+def _ref_region(reg, n_regions: int, class_index: dict[str, int], where: str) -> formats.RegionRecord:
+    """One region row, checked field by field and value by value."""
+    if not isinstance(reg, dict):
+        raise DataError(f"{where}: must be an object")
+    if "region_id" not in reg:
+        raise DataError(f"{where}: missing region_id")
+    region_id = reg["region_id"]
+    if not isinstance(region_id, int) or isinstance(region_id, bool):
+        raise DataError(f"{where}: region_id must be an integer, got {region_id!r}")
+    if not 0 <= region_id < n_regions:
+        raise DataError(f"{where}: region_id {region_id} outside 0..{n_regions - 1}")
+    presence = _ref_number(reg.get("presence", 1.0), where, "presence")
+    if not 0.0 <= presence <= 1.0:
+        raise DataError(f"{where}: presence outside [0, 1]")
+    features = reg.get("features")
+    if features is not None:
+        if not isinstance(features, list):
+            raise DataError(f"{where}: features must be an array of numbers")
+        try:
+            features = np.array([float(v) for v in features], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{where}: features must be an array of numbers") from exc
+        if not np.isfinite(features).all():
+            raise DataError(f"{where}: features must be finite (NaN or Infinity found)")
+    probs = reg.get("pathology_probs")
+    if probs is not None:
+        if not isinstance(probs, dict):
+            raise DataError(f"{where}: pathology_probs must be an object")
+        row = np.zeros(len(class_index))
+        for name, p in probs.items():
+            if name not in class_index:
+                raise DataError(f"{where}: unknown class name {name!r}")
+            p = _ref_number(p, where, f"probability for {name!r}")
+            if not 0.0 <= p <= 1.0:
+                raise DataError(f"{where}: probability for {name!r} outside [0, 1]")
+            row[class_index[name]] = p
+        probs = row
+    box = reg.get("box")
+    if not (isinstance(box, list) and len(box) == 4):
+        raise DataError(f"{where}: box must be a 4-element array")
+    try:
+        box = Box(*(float(v) for v in box))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: {exc}") from exc
+    return formats.RegionRecord(region_id, box, presence, features, probs)
+
+
+def read_dataset_ref(path) -> tuple[formats.DatasetHeader, list[formats.ImageRecord]]:
+    """The dataset reader one region and one value at a time, each region a RegionRecord.
+
+    Regions are checked in file order; within a region, region_id,
+    presence, features, probabilities and box; feature lengths after the
+    record's last region, then labels, then repeated region ids. Header
+    and label parsing are the library's own.
+    """
+    path = Path(path)
+    header, records, seen = None, [], {}
+    feature_dim, dim_source = None, ""
+    for line_no, obj in formats._iter_jsonl(path):
+        where = f"{path}:{line_no}"
+        if header is None:
+            if obj.get("kind") != "dataset":
+                raise DataError(f"{where}: first record must be a dataset header")
+            if obj.get("version") != formats.FORMAT_VERSION:
+                raise DataError(f"{where}: unsupported format version")
+            try:
+                dim = obj.get("feature_dim")
+                header = formats.DatasetHeader(
+                    formats._parse_classes(obj["classes"], where),
+                    formats._parse_count(obj["n_regions"], where, "n_regions", 0),
+                    None if dim is None else formats._parse_count(dim, where, "feature_dim", 1),
+                )
+            except KeyError as exc:
+                raise DataError(f"{where}: header missing field {exc}") from exc
+            feature_dim, dim_source = header.feature_dim, "header feature_dim"
+            class_index = {name: i for i, name in enumerate(header.classes)}
+            continue
+        if "image_id" not in obj:
+            raise DataError(f"{where}: missing image_id")
+        if not isinstance(obj.get("regions"), list):
+            raise DataError(f"{where}: missing regions array")
+        regions = [
+            _ref_region(reg, header.n_regions, class_index, f"{where}: regions[{i}]")
+            for i, reg in enumerate(obj["regions"])
+        ]
+        for i, reg in enumerate(regions):
+            if reg.features is None:
+                continue
+            if feature_dim is None:
+                feature_dim, dim_source = len(reg.features), f"first length in the file, line {line_no}"
+            if len(reg.features) != feature_dim:
+                raise DataError(
+                    f"{where}: regions[{i}]: features length {len(reg.features)} != {feature_dim} ({dim_source})"
+                )
+        gt, anatomy = formats._parse_gt(obj, header, where), formats._parse_anatomy(obj, header, where)
+        try:
+            record = formats.ImageRecord(str(obj["image_id"]), regions, gt=gt, anatomy_labels=anatomy)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        first = seen.setdefault(record.image_id, line_no)
+        if first != line_no:
+            raise DataError(f"{where}: duplicate image id {record.image_id!r} (first at line {first})")
+        records.append(record)
+    if header is None:
+        raise DataError(f"{path}: empty file (missing header)")
+    return replace(header, feature_dim=feature_dim), records

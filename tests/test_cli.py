@@ -371,16 +371,26 @@ class TestRegionIds:
             ({"1": ["a"], "01": ["b"]}, "anatomy_labels: region key '01' repeats region 1"),
             ({"2": ["a"]}, "anatomy_labels: region key '2' outside 0..1"),
             ({"left": ["a"]}, "anatomy_labels: region key 'left' is not an integer"),
+            # only ASCII decimal digits name a region: int() would read these as 11, 1, 1, 1 and -1
+            ({"1_1": ["a"]}, "anatomy_labels: region key '1_1' is not an integer"),
+            ({" 1": ["a"]}, "anatomy_labels: region key ' 1' is not an integer"),
+            ({"+1": ["a"]}, "anatomy_labels: region key '+1' is not an integer"),
+            ({"١": ["a"]}, "anatomy_labels: region key '١' is not an integer"),
+            ({"-1": ["a"]}, "anatomy_labels: region key '-1' is not an integer"),
+            ({"": ["a"]}, "anatomy_labels: region key '' is not an integer"),
             ({"0": "a"}, "anatomy_labels: classes of region '0' must be an array"),
             ({"0": ["c"]}, "anatomy_labels: unknown class name 'c'"),
         ],
-        ids=["repeated", "out-of-range", "not-an-integer", "classes-not-an-array", "unknown-class"],
+        ids=[
+            "repeated", "out-of-range", "not-an-integer", "underscore", "space", "plus", "arabic-indic",
+            "negative", "empty", "classes-not-an-array", "unknown-class",
+        ],
     )
     def test_bad_anatomy_key_rejected(self, tmp_path, capsys, anatomy, message):
         data = tmp_path / "bad.jsonl"
         _two_region_file(data, (0, 1), anatomy)
         assert self._infer(data, tmp_path / "p.jsonl") == 2
-        assert f"bad.jsonl:2: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {data}:2: {message}\n"
 
     @pytest.mark.parametrize("setting", ["fused", "unfused", "mapped"])
     def test_file_order_does_not_change_the_predictions(self, tmp_path, setting):
@@ -412,6 +422,123 @@ class TestRegionIds:
         for name, source in (("forward_pred.jsonl", data), ("reverse_pred.jsonl", reverse)):
             assert _run("infer", "--data", source, "--checkpoint", ckpt, "--out", tmp_path / name) == 0
         assert (tmp_path / "forward_pred.jsonl").read_bytes() == (tmp_path / "reverse_pred.jsonl").read_bytes()
+
+
+_HUGE = 10**400  # a JSON integer past the float range
+
+
+def _set(key, value):
+    return lambda regions: regions[1].update({key: value})
+
+
+def _set_prob(name, value):
+    return lambda regions: regions[1]["pathology_probs"].update({name: value})
+
+
+def _set_corner(value):
+    return lambda regions: regions[1]["box"].__setitem__(1, value)
+
+
+def _drop(key):
+    return lambda regions: regions[1].pop(key)
+
+
+class TestRegionFaultTexts:
+    """Every region-level fault of the dataset reader, with its full error text, exit code 2."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda regions: regions.__setitem__(1, 5), "regions[1]: must be an object"),
+            (_drop("region_id"), "regions[1]: missing region_id"),
+            (_set("region_id", True), "regions[1]: region_id must be an integer, got True"),
+            (_set("region_id", "1"), "regions[1]: region_id must be an integer, got '1'"),
+            (_set("region_id", 1.0), "regions[1]: region_id must be an integer, got 1.0"),
+            (_set("region_id", 2), "regions[1]: region_id 2 outside 0..1"),
+            (_set("region_id", -1), "regions[1]: region_id -1 outside 0..1"),
+            (_set("presence", "high"), "regions[1]: presence must be a number, got 'high'"),
+            (_set("presence", None), "regions[1]: presence must be a number, got None"),
+            (_set("presence", [0.5]), "regions[1]: presence must be a number, got [0.5]"),
+            (_set("presence", float("nan")), "regions[1]: presence outside [0, 1]"),
+            (_set("presence", 1.5), "regions[1]: presence outside [0, 1]"),
+            (_set("presence", -0.5), "regions[1]: presence outside [0, 1]"),
+            (_set("presence", _HUGE), f"regions[1]: presence must be a number, got {_HUGE!r}"),
+            (_set("features", "12"), "regions[1]: features must be an array of numbers"),
+            (_set("features", 0.5), "regions[1]: features must be an array of numbers"),
+            (_set("features", ["x", 0.5]), "regions[1]: features must be an array of numbers"),
+            (_set("features", [None, 0.5]), "regions[1]: features must be an array of numbers"),
+            (_set("features", [[0.5], 0.5]), "regions[1]: features must be an array of numbers"),
+            (_set("features", [_HUGE, 0.5]), "regions[1]: features must be an array of numbers"),
+            (_set("features", [float("nan"), 0.5]), "regions[1]: features must be finite (NaN or Infinity found)"),
+            (_set("features", [float("inf"), 0.5]), "regions[1]: features must be finite (NaN or Infinity found)"),
+            (_set("features", [0.5]), "regions[1]: features length 1 != 2 (first length in the file, line 2)"),
+            (_set("features", [0.5, 0.5, 0.5]), "regions[1]: features length 3 != 2 (first length in the file, line 2)"),
+            (_set("pathology_probs", [0.5]), "regions[1]: pathology_probs must be an object"),
+            (_set("pathology_probs", "a"), "regions[1]: pathology_probs must be an object"),
+            (_set_prob("zz", 0.5), "regions[1]: unknown class name 'zz'"),
+            (_set_prob("a", "x"), "regions[1]: probability for 'a' must be a number, got 'x'"),
+            (_set_prob("a", None), "regions[1]: probability for 'a' must be a number, got None"),
+            (_set_prob("b", [0.5]), "regions[1]: probability for 'b' must be a number, got [0.5]"),
+            (_set_prob("a", float("nan")), "regions[1]: probability for 'a' outside [0, 1]"),
+            (_set_prob("b", 1.5), "regions[1]: probability for 'b' outside [0, 1]"),
+            (_set_prob("b", -1e-300), "regions[1]: probability for 'b' outside [0, 1]"),
+            (_set("box", [0.1, 0.2, 0.3]), "regions[1]: box must be a 4-element array"),
+            (_set("box", "abcd"), "regions[1]: box must be a 4-element array"),
+            (_drop("box"), "regions[1]: box must be a 4-element array"),
+            (_set_corner("x"), "regions[1]: could not convert string to float: 'x'"),
+            (_set_corner(None), "regions[1]: float() argument must be a string or a real number, not 'NoneType'"),
+            (_set_corner([0.1]), "regions[1]: float() argument must be a string or a real number, not 'list'"),
+            (_set_corner(_HUGE), "regions[1]: int too large to convert to float"),
+            (
+                _set("box", [0.5, 0.1, 0.2, 0.5]),
+                "regions[1]: invalid box corners (0.5, 0.1, 0.2, 0.5): need 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1",
+            ),
+            (
+                _set_corner(float("nan")),
+                "regions[1]: invalid box corners (0.2, nan, 0.6, 0.5): need 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1",
+            ),
+            (
+                _set("box", [0.2, 0.1, 1.5, 0.5]),
+                "regions[1]: invalid box corners (0.2, 0.1, 1.5, 0.5): need 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1",
+            ),
+            # two faults: the first row in file order is named, and within a row presence,
+            # features, probabilities and box are checked in that order
+            (
+                lambda regions: (regions[0].update(box=[0.5, 0, 0.2, 1]), regions[1].update(presence="x")),
+                "regions[0]: invalid box corners (0.5, 0.0, 0.2, 1.0): need 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1",
+            ),
+            (
+                lambda regions: (regions[1].update(box=None, presence=2.0)),
+                "regions[1]: presence outside [0, 1]",
+            ),
+            (
+                lambda regions: (regions[1].update(box=None, pathology_probs={"a": 2.0}, features=[0.5])),
+                "regions[1]: probability for 'a' outside [0, 1]",
+            ),
+            (
+                lambda regions: (regions[0].update(features=[0.5]), regions[1].update(region_id=7)),
+                "regions[1]: region_id 7 outside 0..1",
+            ),
+        ],
+    )
+    def test_exact_text(self, tmp_path, capsys, edit, message):
+        data, out = tmp_path / "bad.jsonl", tmp_path / "p.jsonl"
+        regions = [
+            {
+                "region_id": r,
+                "box": [0.1 * (r + 1), 0.1, 0.5 + 0.1 * r, 0.5],
+                "presence": 1.0,
+                "features": [0.5, 0.25],
+                "pathology_probs": {"a": 0.6, "b": 0.2},
+            }
+            for r in range(2)
+        ]
+        edit(regions)
+        header = {"kind": "dataset", "version": 1, "classes": ["a", "b"], "n_regions": 2}
+        data.write_text(json.dumps(header) + "\n" + json.dumps({"image_id": "img", "regions": regions}) + "\n")
+        assert _run("infer", "--data", data, "--probs-from-file", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {data}:2: {message}\n"
+        assert not out.exists()
 
 
 class TestDuplicateImageId:
@@ -470,8 +597,8 @@ class TestMalformedInferInput:
 
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert "five.jsonl:2: regions[1]" in err and "finite" in err
+        message = "regions[1]: features must be finite (NaN or Infinity found)"
+        assert capsys.readouterr().err == f"error: {five_images[0]}:2: {message}\n"
 
     def test_features_not_an_array(self, five_images, tmp_path, capsys):
         def edit(record):
@@ -479,7 +606,8 @@ class TestMalformedInferInput:
 
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
-        assert "five.jsonl:2: regions[1]: features must be an array of numbers" in capsys.readouterr().err
+        message = "regions[1]: features must be an array of numbers"
+        assert capsys.readouterr().err == f"error: {five_images[0]}:2: {message}\n"
 
     def test_non_numeric_presence(self, five_images, tmp_path, capsys):
         def edit(record):
@@ -487,8 +615,8 @@ class TestMalformedInferInput:
 
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert "five.jsonl:2: regions[0]" in err and "presence" in err
+        message = "regions[0]: presence must be a number, got 'high'"
+        assert capsys.readouterr().err == f"error: {five_images[0]}:2: {message}\n"
 
     def test_non_integer_region_id(self, five_images, tmp_path, capsys):
         def edit(record):
@@ -496,8 +624,8 @@ class TestMalformedInferInput:
 
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert "five.jsonl:2: regions[0]" in err and "region_id" in err
+        message = "regions[0]: region_id must be an integer, got 'left lung'"
+        assert capsys.readouterr().err == f"error: {five_images[0]}:2: {message}\n"
 
     def test_missing_region(self, five_images, tmp_path, capsys):
         def edit(record):
@@ -505,7 +633,7 @@ class TestMalformedInferInput:
 
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
-        assert "region ids must be exactly 0..7" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: image 'img_00000': region ids must be exactly 0..7\n"
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -523,7 +651,7 @@ class TestMalformedInferInput:
 
         _edit_first_record(five_images[0], edit)
         assert self._infer(five_images, tmp_path) == 2
-        assert f"five.jsonl:2: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {five_images[0]}:2: {message}\n"
 
 
 class TestMalformedPredictions:

@@ -2,9 +2,12 @@ import json
 import math
 import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from helpers import read_dataset_ref
 from proxydet import formats
 from proxydet.errors import ConfigError, DataError
 from proxydet.evaluation import EvalConfig, evaluate
@@ -156,8 +159,10 @@ class TestDatasetRoundTrip:
             ({"a": "x"}, "probability for 'a' must be a number, got 'x'"),
             ({"b": 1.5}, "probability for 'b' outside [0, 1]"),
             ({"a": math.nan}, "probability for 'a' outside [0, 1]"),
+            # one region, one class: a one-element array would broadcast into the (1, 1) block
+            ({"a": [0.5]}, "probability for 'a' must be a number, got [0.5]"),
         ],
-        ids=["list", "unknown", "string", "above-one", "nan"],
+        ids=["list", "unknown", "string", "above-one", "nan", "nested-value"],
     )
     def test_bad_probabilities_named(self, tmp_path, probs, message):
         path = _probs_dataset(tmp_path, [{"a": 0.1}, probs])
@@ -319,6 +324,23 @@ class TestFeatureLength:
         path.write_text(header + "\n" + json.dumps({"image_id": "x", "regions": [region]}) + "\n")
         header, _ = formats.read_dataset(path)
         assert header.feature_dim == 2
+
+    @pytest.mark.parametrize(
+        "declared, message",
+        [(2, "3: regions[1]: features length 3 != 2 (header feature_dim)"),
+         (None, "3: regions[1]: features length 3 != 2 (first length in the file, line 2)")],
+        ids=["header", "first-record"],
+    )
+    def test_a_whole_record_of_another_length_rejected(self, tmp_path, declared, message):
+        # every region of the second record agrees with the others, but not with the file's length
+        path = tmp_path / "d.jsonl"
+        header = {"kind": "dataset", "version": 1, "classes": ["a"], "n_regions": 2, "feature_dim": declared}
+        regions = [{"region_id": 0, "box": [0, 0, 1, 1]}, {"region_id": 1, "box": [0, 0, 1, 1]}]
+        first = {"image_id": "x", "regions": [{**regions[0], "features": [0.5, 1.0]}]}
+        second = {"image_id": "y", "regions": [regions[0], {**regions[1], "features": [0.5, 1.0, 2.0]}]}
+        path.write_text("\n".join(json.dumps(obj) for obj in (header, first, second)) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:{message}')}$"):
+            formats.read_dataset(path)
 
 
 class TestMapping:
@@ -650,3 +672,150 @@ class TestReports:
         assert lines[0] == "step,total,detection,presence_bce,l1,giou_penalty,loc_asl,mil_asl"
         assert lines[1] == "0,1.5,1.0,0.5,0.25,0.25,0.1,0.0"
         assert lines[2] == "7,0.6666666666666666,1e-07,-0.0,1e+16,0.25,5e-324,3.0"
+
+
+class TestWriterAnatomyShape:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 1)])
+    def test_wrong_shape_rejected_before_writing(self, tmp_path, shape):
+        # rows are region ids and columns header classes: any other shape would be written as wrong labels
+        header = formats.DatasetHeader(classes=("a", "b"), n_regions=3)
+        good = formats.ImageRecord("good", [], anatomy_labels=np.zeros((3, 2)))
+        bad = formats.ImageRecord("bad", [], anatomy_labels=np.ones(shape))
+        path = tmp_path / "d.jsonl"
+        message = f"image 'bad': anatomy_labels has shape {shape}, expected (3, 2)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            formats.write_dataset(path, header, [good, bad])
+        assert not path.exists()
+
+
+class TestReaderBuildsNoObjects:
+    """The dataset reader makes each record's arrays directly: no RegionRecord, and no Box per region."""
+
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"read_dataset built a {name}")
+
+        monkeypatch.setattr(formats, name, refuse)
+
+    def test_stored_probabilities(self, tmp_path, monkeypatch):
+        path = _probs_dataset(tmp_path, [{"b": 0.25}, {"a": 0.5, "b": 1.0}, {}])
+        self._forbid(monkeypatch, "RegionRecord")
+        self._forbid(monkeypatch, "Box")
+        _, records = formats.read_dataset(path)
+        assert [r.pathology_probs.tolist() for r in records] == [[[0.0, 0.25]], [[0.5, 1.0]], [[0.0, 0.0]]]
+
+    def test_synth_file(self, tmp_path, monkeypatch):
+        # ground-truth boxes stay Box objects in GtRecord: one Box per ground-truth box, none per region
+        _, _, written, path = _sample_dataset(tmp_path)
+        built = []
+        real_box = formats.Box
+        monkeypatch.setattr(formats, "Box", lambda *corners: built.append(corners) or real_box(*corners))
+        self._forbid(monkeypatch, "RegionRecord")
+        _, records = formats.read_dataset(path)
+        assert len(built) == sum(len(r.gt.boxes) for r in written) > 0
+        assert sum(len(r.region_ids) for r in records) > len(built)
+
+
+# values that are right in some places and wrong in others
+_ODD_VALUES = st.sampled_from(
+    [None, "x", "0.25", " 1 ", "nan", True, False, math.nan, math.inf, -1e-300, -0.5, 0, 1, 2, 1.5,
+     10**400, [0.5], [], {}, {"a": 0.5}, "12", "ab"]
+)
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0, 0, 1, -0.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _dataset_lines(draw):
+    """A valid dataset file as JSON objects: shuffled region ids, optional fields, any key order."""
+    classes = draw(st.permutations(["a", "b", "c", "d"]))[: draw(st.integers(1, 4))]
+    n_regions = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 3))
+    header = {"kind": "dataset", "version": 1, "classes": classes, "n_regions": n_regions}
+    if draw(st.booleans()):
+        header["feature_dim"] = dim
+    records = []
+    for image in range(draw(st.integers(1, 4))):
+        ids = draw(st.permutations(range(n_regions)))[: draw(st.integers(0, n_regions))]
+        regions = []
+        for rid in ids:
+            x1, x2 = sorted(draw(st.lists(_PROBABILITY, min_size=2, max_size=2)))
+            y1, y2 = sorted(draw(st.lists(_PROBABILITY, min_size=2, max_size=2)))
+            region = {"box": [x1, y1, x2, y2], "region_id": rid}
+            if draw(st.booleans()):
+                region["presence"] = draw(_PROBABILITY)
+            if draw(st.integers(0, 3)):
+                region["features"] = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+            if draw(st.integers(0, 3)):
+                names = draw(st.permutations(classes))[: draw(st.integers(0, len(classes)))]
+                region["pathology_probs"] = {name: draw(_PROBABILITY) for name in names}
+            regions.append(region)
+        records.append({"image_id": f"img{image}", "regions": regions})
+    return [header, *records]
+
+
+def _mutate(draw, lines):
+    """Change one value of one region: the reference reader decides whether that is a fault."""
+    regions = draw(st.sampled_from([r["regions"] for r in lines[1:] if r["regions"]]))
+    i = draw(st.integers(0, len(regions) - 1))
+    region, value = regions[i], draw(_ODD_VALUES)
+    kind = draw(st.sampled_from(["region", "region_id", "presence", "features", "probs", "box", "drop"]))
+    if kind == "region":
+        regions[i] = value
+    elif kind == "drop":
+        region.pop(draw(st.sampled_from(sorted(region))))
+    elif kind in ("region_id", "presence"):
+        region[kind] = value
+    elif kind == "features" and isinstance(region.get("features"), list) and region["features"]:
+        j = draw(st.integers(0, len(region["features"])))
+        if j == len(region["features"]):
+            region["features"].append(0.5)  # one value too many
+        else:
+            region["features"][j] = value
+    elif kind == "probs" and region.get("pathology_probs"):
+        region["pathology_probs"][draw(st.sampled_from(sorted(region["pathology_probs"]) + ["zz"]))] = value
+    elif kind == "box":
+        j = draw(st.integers(0, 4))
+        if j == 4:
+            region["box"] = value
+        else:
+            region["box"][j] = value
+    else:
+        region[{"features": "features", "probs": "pathology_probs"}[kind]] = value
+
+
+class TestColumnarReaderMatchesReference:
+    """The columnar reader gives the region-by-region reference's arrays and its error texts."""
+
+    @staticmethod
+    def _outcome(reader, path):
+        try:
+            return reader(path)
+        except DataError as exc:
+            return str(exc)
+
+    def _check(self, path, lines):
+        path.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+        expected, got = self._outcome(read_dataset_ref, path), self._outcome(formats.read_dataset, path)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert got[0] == expected[0]
+        assert len(got[1]) == len(expected[1])
+        for a, b in zip(got[1], expected[1]):
+            assert a.image_id == b.image_id
+            for name in ("region_ids", "boxes", "presence", "features", "pathology_probs"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None and y is None) or (np.array_equal(x, y) and x.dtype == y.dtype and x.shape == y.shape)
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_dataset_lines())
+    def test_valid_files(self, tmp_path, lines):
+        self._check(tmp_path / "d.jsonl", lines)
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_value_changed(self, tmp_path, data):
+        lines = data.draw(_dataset_lines().filter(lambda lines: any(r["regions"] for r in lines[1:])))
+        _mutate(data.draw, lines)
+        self._check(tmp_path / "d.jsonl", lines)
