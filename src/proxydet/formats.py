@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Container
 from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -431,6 +432,51 @@ def _raise_region_fault(
     raise DataError(f"{where}: regions could not be read")  # not reached: the checks above mirror the arrays'
 
 
+def _parse_entries(
+    entries: list, classes: Container[str], where: str, label: str, seen: set[str] | None, scored: bool
+) -> list[tuple[str, Box, float]]:
+    """``(class name, box, score)`` of each entry of a ``boxes`` array, in order.
+
+    An entry is an object with a ``class`` in ``classes`` and a ``box``; a
+    ``scored`` one may add a ``score`` in [0, 1], 0 when left out, and
+    unscored entries get 1. Given ``seen``, a class may not repeat and each
+    entry's is added to it. A DataError names ``where: label[i]``; location
+    and message are formatted only for an entry that fails a check.
+    """
+
+    def fault(i: int, message: str) -> DataError:
+        return DataError(f"{where}: {label}[{i}]: {message}")
+
+    out = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise fault(i, "must be an object")
+        name = entry.get("class")
+        # a list or object would not even hash for the lookup
+        if not (isinstance(name, str) and name in classes):
+            raise fault(i, f"unknown class name {name!r}")
+        if seen is not None:
+            if name in seen:
+                raise fault(i, f"duplicate box for class {name!r}")
+            seen.add(name)
+        score = entry.get("score", 0.0) if scored else 1.0
+        try:
+            score = float(score)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise fault(i, f"score must be a number, got {score!r}") from exc
+        if not 0.0 <= score <= 1.0:
+            raise fault(i, "score outside [0, 1]")
+        box = entry.get("box")
+        if not (isinstance(box, list) and len(box) == 4):
+            raise fault(i, "box must be a 4-element array")
+        try:
+            box = Box(*box)  # Box makes each corner a float
+        except (TypeError, ValueError, OverflowError) as exc:  # json ints may exceed the float range
+            raise fault(i, str(exc)) from exc
+        out.append((name, box, score))
+    return out
+
+
 def _parse_gt(obj, header: DatasetHeader, where: str) -> GtRecord | None:
     if obj.get("gt") is None:
         return None
@@ -438,25 +484,19 @@ def _parse_gt(obj, header: DatasetHeader, where: str) -> GtRecord | None:
     gobj = obj["gt"]
     _require(isinstance(gobj, dict), gwhere, "must be an object")
     _require(isinstance(gobj.get("boxes", []), list), gwhere, "boxes must be an array")
-    boxes = []
-    seen = set()
-    for i, entry in enumerate(gobj.get("boxes", [])):
-        _require(isinstance(entry, dict), f"{gwhere}.boxes[{i}]", "must be an object")
-        name = entry.get("class")
-        _require(name in header.classes, f"{gwhere}.boxes[{i}]", f"unknown class name {name!r}")
-        _require(name not in seen, f"{gwhere}.boxes[{i}]", f"duplicate box for class {name!r}")
-        seen.add(name)
-        boxes.append((name, _parse_box(entry.get("box"), f"{gwhere}.boxes[{i}]")))
+    seen: set[str] = set()
+    entries = _parse_entries(gobj.get("boxes", []), header.classes, where, "gt.boxes", seen, scored=False)
     labels = gobj.get("image_labels", [])
     _require(isinstance(labels, list), gwhere, "image_labels must be an array")
     for name in labels:
-        _require(name in header.classes, gwhere, f"unknown class name {name!r} in image_labels")
+        if name not in header.classes:
+            raise DataError(f"{gwhere}: unknown class name {name!r} in image_labels")
     _require(
         seen.issubset(labels),
         gwhere,
         "image_labels must include every class with a ground-truth box",
     )
-    return GtRecord(boxes=boxes, image_labels=labels)
+    return GtRecord(boxes=[(name, box) for name, box, _ in entries], image_labels=labels)
 
 
 def _parse_anatomy(obj, header: DatasetHeader, where: str) -> np.ndarray | None:
@@ -481,18 +521,68 @@ def _parse_anatomy(obj, header: DatasetHeader, where: str) -> np.ndarray | None:
     return anatomy
 
 
-def _check_anatomy_shape(rec: ImageRecord, header: DatasetHeader) -> None:
-    """A record's ``anatomy_labels`` must be ``(n_regions, C)`` under ``header``."""
-    expected = (header.n_regions, len(header.classes))
-    if rec.anatomy_labels is not None and rec.anatomy_labels.shape != expected:
+def _check_record(rec: ImageRecord, header: DatasetHeader, feature_dim: int | None) -> int | None:
+    """Raise a DataError if :func:`read_dataset` would reject ``rec`` written under ``header``.
+
+    Region ids, boxes, presence, features and probabilities are checked as
+    arrays. Features must be finite and ``feature_dim`` long, the length
+    of the records before; the new length is returned, and None stands for
+    no record with features yet. Ground-truth classes and labels must be
+    header classes, and ``anatomy_labels`` must be a ``(n_regions, C)``
+    matrix of 0 and 1.
+    """
+    n_classes, where, n = len(header.classes), f"image {rec.image_id!r}", len(rec.region_ids)
+    outside = rec.region_ids[(rec.region_ids < 0) | (rec.region_ids >= header.n_regions)]
+    if outside.size:
+        raise DataError(f"{where}: region id {outside[0]} outside 0..{header.n_regions - 1}")
+    boxes, presence = rec.boxes, rec.presence
+    if boxes.shape != (n, 4) or n and not (
+        boxes.min() >= 0.0 and boxes.max() <= 1.0 and (boxes[:, 2:] >= boxes[:, :2]).all()
+    ):
+        raise DataError(f"{where}: boxes must be ({n}, 4) corners, 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1")
+    if presence.shape != (n,) or n and not (presence.min() >= 0.0 and presence.max() <= 1.0):
+        raise DataError(f"{where}: presence must be {n} values in [0, 1]")
+    if rec.features is not None:
+        if rec.features.ndim != 2 or len(rec.features) != n:
+            raise DataError(f"{where}: features have shape {rec.features.shape}, expected ({n}, D)")
+        feature_dim = rec.features.shape[1] if feature_dim is None else feature_dim
+        if rec.features.shape[1] != feature_dim:
+            raise DataError(f"{where}: features length {rec.features.shape[1]} != {feature_dim}")
+        if not np.isfinite(rec.features).all():
+            raise DataError(f"{where}: features must be finite (NaN or Infinity found)")
+    probs = rec.pathology_probs
+    if probs is not None and (
+        probs.shape != (n, n_classes) or n and not (probs.min() >= 0.0 and probs.max() <= 1.0)
+    ):
+        raise DataError(f"{where}: pathology_probs must be ({n}, {n_classes}) values in [0, 1], got {probs.shape}")
+    if rec.gt is not None:
+        names = [name for name, _ in rec.gt.boxes]
+        for name in [*names, *rec.gt.image_labels]:
+            if name not in header.classes:
+                raise DataError(f"{where}: ground-truth class {name!r} is not a header class")
+        if len(set(names)) != len(names):
+            raise DataError(f"{where}: more than one ground-truth box for a class")
+        if not set(names).issubset(rec.gt.image_labels):
+            raise DataError(f"{where}: image_labels must include every class with a ground-truth box")
+    if rec.anatomy_labels is not None and rec.anatomy_labels.shape != (header.n_regions, n_classes):
         raise DataError(
-            f"image {rec.image_id!r}: anatomy_labels has shape {rec.anatomy_labels.shape}, expected {expected}"
+            f"{where}: anatomy_labels has shape {rec.anatomy_labels.shape}, "
+            f"expected {(header.n_regions, n_classes)}"
         )
+    # the file lists the classes of each region, so any other value would read back as 1 or 0
+    if rec.anatomy_labels is not None and not np.isin(rec.anatomy_labels, (0.0, 1.0)).all():
+        raise DataError(f"{where}: anatomy_labels must hold only 0 and 1")
+    return feature_dim
 
 
 def write_dataset(path: str | Path, header: DatasetHeader, records: list[ImageRecord]) -> None:
-    for rec in records:  # before the file is opened: a wrong matrix writes nothing
-        _check_anatomy_shape(rec, header)
+    """Write a dataset file; a record :func:`read_dataset` would reject is a DataError, and nothing is written."""
+    feature_dim, seen = header.feature_dim, set()
+    for rec in records:  # every record is checked before the file is opened
+        if rec.image_id in seen:
+            raise DataError(f"image {rec.image_id!r} appears more than once")
+        seen.add(rec.image_id)
+        feature_dim = _check_record(rec, header, feature_dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             canonical_json(
@@ -543,7 +633,17 @@ def _image_record_to_obj(rec: ImageRecord, header: DatasetHeader) -> dict:
 def write_predictions(
     path: str | Path, classes: list[str], predictions: dict[str, list[PathologyBox]]
 ) -> None:
-    """Write per-image pathology boxes; image order follows the input dict."""
+    """Write per-image pathology boxes; image order follows the input dict.
+
+    A class id outside ``0..len(classes)-1`` is a DataError raised before
+    the file is opened.
+    """
+    for image_id, boxes in predictions.items():
+        for b in boxes:
+            if b.class_id not in range(len(classes)):  # a negative id would name a class from the end
+                raise DataError(
+                    f"image {image_id!r}: prediction class id {b.class_id!r} is not in 0..{len(classes) - 1}"
+                )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             canonical_json(
@@ -587,21 +687,9 @@ def read_predictions(path: str | Path) -> tuple[list[str], dict[str, list[Pathol
         image_id = str(obj["image_id"])
         _require(image_id not in out, where, f"duplicate image id {image_id!r}")
         _require(isinstance(obj.get("boxes", []), list), where, "boxes must be an array")
-        boxes = []
-        for i, entry in enumerate(obj.get("boxes", [])):
-            bwhere = f"{where}: boxes[{i}]"
-            _require(isinstance(entry, dict), bwhere, "must be an object")
-            name = entry.get("class")
-            # a list or object would not even hash for the lookup
-            _require(isinstance(name, str) and name in index, bwhere, f"unknown class name {name!r}")
-            score = _parse_number(entry.get("score", 0.0), bwhere, "score")
-            _require(0.0 <= score <= 1.0, bwhere, "score outside [0, 1]")
-            boxes.append(
-                PathologyBox(
-                    class_id=index[name], box=_parse_box(entry.get("box"), bwhere), score=score
-                )
-            )
-        out[image_id] = boxes
+        # a class may repeat: `infer --no-top1` writes every fused box of a class
+        entries = _parse_entries(obj.get("boxes", []), index, where, "boxes", None, scored=True)
+        out[image_id] = [PathologyBox(index[name], box, score) for name, box, score in entries]
     _require(classes is not None, str(path), "empty file (missing header)")
     return classes, out
 
@@ -649,14 +737,16 @@ def records_to_train_samples(
 
     Rows are in region-id order, as the record stores them. Anatomy labels
     pass through as the record's matrix; image labels become a vector over
-    the header vocabulary where available.
+    the header vocabulary where available. Each record must also pass the
+    checks :func:`write_dataset` makes.
     """
     samples = []
     index = {name: i for i, name in enumerate(header.classes)}
     n_classes = len(header.classes)
+    feature_dim = header.feature_dim
     for rec in records:
         features = rec.head_features(header.n_regions, "training")
-        _check_anatomy_shape(rec, header)
+        feature_dim = _check_record(rec, header, feature_dim)
         image_labels = None
         if rec.gt is not None:
             image_labels = np.zeros(n_classes)

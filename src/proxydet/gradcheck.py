@@ -207,7 +207,7 @@ def _sample_head_instance(rng: np.random.Generator, cfg: head_mod.TrainConfig):
         present = np.ones((b, r), dtype=bool)
         anatomy = rng.integers(0, 2, size=(b, r, c)).astype(float)
         image_labels = (anatomy.sum(axis=1) > 0).astype(float)
-        batch = head_mod.Batch(features, tgt, present, anatomy, image_labels)
+        batch = head_mod.Batch.of(features, tgt, present, anatomy, image_labels)
 
         cache = head_mod._forward_cache(features.reshape(b * r, d), params)
         if min(np.min(np.abs(cache["h1_pre"])), np.min(np.abs(cache["h2_pre"]))) <= _MARGIN:

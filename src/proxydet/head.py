@@ -186,20 +186,42 @@ def _forward_cache(x: np.ndarray, params: HeadParams) -> dict[str, np.ndarray]:
 
 @dataclass(eq=False)
 class Batch:
-    """A stack of samples with one row per (sample, region).
+    """A stack of samples with one row per (sample, region), and their loss targets.
 
     ``anatomy_labels`` may be None in image-level ("mil") training;
     ``image_labels`` may be None in region-level ("loc") training.
     """
 
     features: np.ndarray  # (B, R, D)
-    target_boxes: np.ndarray  # (B, R, 4) center/size
-    present: np.ndarray  # (B, R) bool
+    targets: RegionTargets  # derived once, by :meth:`of`
     anatomy_labels: np.ndarray | None  # (B, R, C)
     image_labels: np.ndarray | None  # (B, C)
-    # per-sample loss constants; training takes them from the whole
-    # dataset's, and a batch without them derives its own on every call
-    targets: RegionTargets | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def of(cls, features, target_boxes, present, anatomy_labels, image_labels, batch_size=None) -> "Batch":
+        """Targets from ``(B, R, 4)`` center/size boxes and ``(B, R)`` flags, as :func:`region_targets`.
+
+        Their loc weight divides by the class count of the labels given.
+        """
+        labels = image_labels if anatomy_labels is None else anatomy_labels
+        if labels is None:
+            raise ConfigError("samples carry neither anatomy-level nor image-level labels")
+        targets = region_targets(present, target_boxes, labels.shape[-1], batch_size)
+        return cls(features, targets, anatomy_labels, image_labels)
+
+    @property
+    def n_classes(self) -> int:
+        return (self.image_labels if self.anatomy_labels is None else self.anatomy_labels).shape[-1]
+
+    def take(self, idx: np.ndarray) -> "Batch":
+        """The samples ``idx``, weighted as derived; the targets are taken first."""
+        targets = self.targets.take(idx)
+        return Batch(
+            self.features.take(idx, axis=0),
+            targets,
+            None if self.anatomy_labels is None else self.anatomy_labels.take(idx, axis=0),
+            None if self.image_labels is None else self.image_labels.take(idx, axis=0),
+        )
 
 
 @dataclass(frozen=True)
@@ -279,15 +301,12 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     if d != params.feature_dim:
         raise ValueError(f"feature dim mismatch: batch {d}, params {params.feature_dim}")
     c = params.n_classes
-    targets = batch.targets
-    if targets is None:
-        targets = region_targets(batch.present, batch.target_boxes, c)
     x = batch.features.reshape(b * r, d)
     cache = _forward_cache(x, params)
 
     p_pres = cache["p_pres"]
     boxes = cache["boxes"].reshape(b, r, 4)
-    det, d_pres, d_boxes = detection_terms(p_pres.reshape(b, r), boxes, targets, cfg.detection, want_grads)
+    det, d_pres, d_boxes = detection_terms(p_pres.reshape(b, r), boxes, batch.targets, cfg.detection, want_grads)
 
     # a mode without a term contributes 0 to the loss and to its gradient
     p_path = cache["p_path"].reshape(b, r, c)
@@ -296,14 +315,14 @@ def _batch_loss_core(batch, params, cfg, want_grads):
     if cfg.needs_anatomy_labels:
         if batch.anatomy_labels is None:
             raise ConfigError(f"mode {cfg.mode!r} requires anatomy-level labels")
-        loc_val, d_loc = loc_terms(p_path, batch.anatomy_labels, targets, cfg.asl, want_grads)
+        loc_val, d_loc = loc_terms(p_path, batch.anatomy_labels, batch.targets, cfg.asl, want_grads)
 
     if cfg.needs_image_labels:
         if batch.image_labels is None:
             raise ConfigError(f"mode {cfg.mode!r} requires image-level labels")
-        if not targets.n_present.all():
+        if not batch.targets.n_present.all():
             raise ConfigError("image-level training needs at least one present region per sample")
-        mil_val, d_mil = mil_terms(p_path, batch.image_labels, targets, cfg.lse, cfg.asl, want_grads)
+        mil_val, d_mil = mil_terms(p_path, batch.image_labels, batch.targets, cfg.lse, cfg.asl, want_grads)
 
     breakdown = LossBreakdown(
         total=combined_loss(det.total, loc_val + mil_val, cfg.weights),
@@ -444,32 +463,28 @@ class TrainResult:
     stopped_early: bool
 
 
-def _stack_samples(samples: list[TrainSample], cfg: TrainConfig, batch_size: int, n_classes: int):
-    """``(features, anatomy_labels, image_labels, targets)`` of all samples, stacked.
+def _stack_samples(samples: list[TrainSample], cfg: TrainConfig, batch_size: int) -> Batch:
+    """All samples as one :class:`Batch`, with the labels ``cfg.mode`` trains on.
 
     The loss targets are weighted for batches of ``batch_size`` samples
-    taken from them, not for the whole stack.
+    taken from it, not for the whole stack.
     """
     feats = np.stack([s.features for s in samples])
     boxes = np.stack([s.target_boxes for s in samples])
     present = np.stack([s.present for s in samples])
-    anat = None
-    imgl = None
-    if cfg.needs_anatomy_labels:
-        missing = [i for i, s in enumerate(samples) if s.anatomy_labels is None]
-        if missing:
-            raise ConfigError(
-                f"mode {cfg.mode!r} requires anatomy-level labels; missing for sample(s) {missing[:5]}"
-            )
-        anat = np.stack([s.anatomy_labels for s in samples])
-    if cfg.needs_image_labels:
-        missing = [i for i, s in enumerate(samples) if s.image_labels is None]
-        if missing:
-            raise ConfigError(
-                f"mode {cfg.mode!r} requires image-level labels; missing for sample(s) {missing[:5]}"
-            )
-        imgl = np.stack([s.image_labels for s in samples])
-    return feats, anat, imgl, region_targets(present, boxes, n_classes, batch_size)
+    labels = {"anatomy_labels": None, "image_labels": None}
+    for name, level, needed in (
+        ("anatomy_labels", "anatomy-level", cfg.needs_anatomy_labels),
+        ("image_labels", "image-level", cfg.needs_image_labels),
+    ):
+        if needed:
+            missing = [i for i, s in enumerate(samples) if getattr(s, name) is None]
+            if missing:
+                raise ConfigError(
+                    f"mode {cfg.mode!r} requires {level} labels; missing for sample(s) {missing[:5]}"
+                )
+            labels[name] = np.stack([getattr(s, name) for s in samples])
+    return Batch.of(feats, boxes, present, batch_size=batch_size, **labels)
 
 
 def _batch_indices(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -492,12 +507,12 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
     """
     if not samples:
         raise ConfigError("training requires at least one sample")
-    feature_dim = samples[0].features.shape[1]
-    n_classes = _infer_n_classes(samples)
+    if all(s.anatomy_labels is None and s.image_labels is None for s in samples):
+        raise ConfigError("samples carry neither anatomy-level nor image-level labels")
     batch_size = min(cfg.batch_size, len(samples))
-    feats, anat, imgl, all_targets = _stack_samples(samples, cfg, batch_size, n_classes)
+    data = _stack_samples(samples, cfg, batch_size)
 
-    params = init_head_params(feature_dim, n_classes, np.random.default_rng([cfg.seed, 0]))
+    params = init_head_params(data.features.shape[2], data.n_classes, np.random.default_rng([cfg.seed, 0]))
     opt = AdamW(learning_rate=cfg.lr, weight_decay=cfg.wd)
     batches = _batch_indices(len(samples), batch_size, np.random.default_rng([cfg.seed, 1]))
 
@@ -507,16 +522,9 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
     stopped_early = False
     steps_run = 0
     for step in range(cfg.max_steps):
+        # both held until the next step: the step's speed depends on where its arrays land on the heap
         idx = next(batches)
-        targets = all_targets.take(idx)
-        batch = Batch(
-            feats.take(idx, axis=0),
-            targets.boxes,
-            targets.present,
-            None if anat is None else anat.take(idx, axis=0),
-            None if imgl is None else imgl.take(idx, axis=0),
-        )
-        batch.targets = targets
+        batch = data.take(idx)
         breakdown, grads = batch_loss_and_grads(batch, params, cfg)
         opt.step(params.flat, grads.flat)
         history.append((step, breakdown))
@@ -528,12 +536,3 @@ def train(samples: list[TrainSample], cfg: TrainConfig) -> TrainResult:
             stopped_early = True
             break
     return TrainResult(params=params, history=history, steps_run=steps_run, stopped_early=stopped_early)
-
-
-def _infer_n_classes(samples: list[TrainSample]) -> int:
-    for s in samples:
-        if s.anatomy_labels is not None:
-            return s.anatomy_labels.shape[1]
-        if s.image_labels is not None:
-            return s.image_labels.shape[0]
-    raise ConfigError("samples carry neither anatomy-level nor image-level labels")

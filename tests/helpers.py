@@ -470,8 +470,8 @@ class AdamWRef:
 def train_ref(samples: list[TrainSample], cfg: TrainConfig, n_classes: int):
     """The training loop without early stopping, from public pieces.
 
-    Each step stacks its samples into a hand-built :class:`Batch` (so the
-    loss derives its targets from the batch itself), calls
+    Each step stacks its samples into a :class:`Batch` of their own (so its
+    targets are derived from the step's samples alone), calls
     ``batch_loss_and_grads`` and updates separately allocated arrays with
     :class:`AdamWRef`. Returns ``(params, history)``.
     """
@@ -495,7 +495,7 @@ def train_ref(samples: list[TrainSample], cfg: TrainConfig, n_classes: int):
             return None if values[0] is None else np.stack(values)
 
         fields = ("features", "target_boxes", "present", "anatomy_labels", "image_labels")
-        batch = Batch(*(stack(f) for f in fields))
+        batch = Batch.of(*(stack(f) for f in fields))
         breakdown, grads = batch_loss_and_grads(batch, params, cfg)
         opt.step(arrays, {k: np.array(v) for k, v in grads.to_dict().items()})
         history.append((step, breakdown))

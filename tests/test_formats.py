@@ -290,6 +290,19 @@ class TestPredictions:
             '{"boxes":[{"box":[0.1,0.2,0.3,1.0],"class":"b","score":0.3333333333333333}],"image_id":"img"}',
         ]
 
+    @pytest.mark.parametrize("class_id", [-1, 2, 7, 0.5])
+    def test_class_id_outside_the_classes_rejected_before_writing(self, tmp_path, class_id):
+        # -1 would be written as the last class; 2 and up, or 0.5, used to fail after a partial write
+        path = tmp_path / "pred.jsonl"
+        preds = {
+            "img0": [PathologyBox(0, Box(0.1, 0.1, 0.4, 0.4), 0.9)],
+            "img1": [PathologyBox(class_id, Box(0, 0, 1, 1), 0.5)],
+        }
+        message = f"image 'img1': prediction class id {class_id} is not in 0..1"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            formats.write_predictions(path, ["a", "b"], preds)
+        assert not path.exists()
+
     def test_duplicate_image_rejected(self, tmp_path):
         path = tmp_path / "pred.jsonl"
         lines = [
@@ -465,6 +478,14 @@ class TestTrainSampleConversion:
         _, header, records, _ = _sample_dataset(tmp_path)
         records[0].region_ids[0] = 99
         with pytest.raises(DataError, match="region ids"):
+            formats.records_to_train_samples(header, records)
+
+    def test_unknown_image_label_named(self, tmp_path):
+        # a code-built label outside the header used to end in a KeyError
+        _, header, records, _ = _sample_dataset(tmp_path)
+        records[2].gt.image_labels.append("zz")
+        message = f"image '{records[2].image_id}': ground-truth class 'zz' is not a header class"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             formats.records_to_train_samples(header, records)
 
     @pytest.mark.parametrize("past_end", [False, True])
@@ -685,6 +706,195 @@ class TestWriterAnatomyShape:
         message = f"image 'bad': anatomy_labels has shape {shape}, expected (3, 2)"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             formats.write_dataset(path, header, [good, bad])
+        assert not path.exists()
+
+
+def _one_record(dim=2, **arrays) -> formats.ImageRecord:
+    """Three regions under two classes that read back as written, with ``arrays`` replacing their own."""
+    fields = {
+        "region_ids": np.arange(3),
+        "boxes": np.tile([0.1, 0.2, 0.6, 0.7], (3, 1)),
+        "presence": np.ones(3),
+        "features": np.zeros((3, dim)),
+        "pathology_probs": np.full((3, 2), 0.5),
+        **arrays,
+    }
+    return formats.ImageRecord.from_arrays("bad", **fields)
+
+
+class TestWriterRefusesWhatTheReaderRejects:
+    """``write_dataset`` checks every record before it opens the file, with the reader's rules."""
+
+    HEADER = formats.DatasetHeader(classes=("a", "b"), n_regions=3, feature_dim=2)
+    GT = formats.GtRecord(boxes=[("a", Box(0.1, 0.1, 0.5, 0.5))], image_labels=["a"])
+
+    BOXES = "boxes must be (3, 4) corners, 0 <= x1 <= x2 <= 1 and 0 <= y1 <= y2 <= 1"
+    NOT_FINITE = "features must be finite (NaN or Infinity found)"
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ({"pathology_probs": np.full((3, 3), 0.5)}, "pathology_probs must be (3, 2) values in [0, 1], got (3, 3)"),
+            ({"pathology_probs": np.full((3, 1), 0.5)}, "pathology_probs must be (3, 2) values in [0, 1], got (3, 1)"),
+            ({"pathology_probs": np.full((3, 2), 1.5)}, "pathology_probs must be (3, 2) values in [0, 1], got (3, 2)"),
+            ({"features": np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]])}, NOT_FINITE),
+            ({"features": np.full((3, 2), np.inf)}, NOT_FINITE),
+            ({"region_ids": np.array([0, 1, 3])}, "region id 3 outside 0..2"),
+            ({"region_ids": np.array([-1, 0, 1])}, "region id -1 outside 0..2"),
+            ({"features": np.zeros((3, 3))}, "features length 3 != 2"),
+            ({"boxes": np.tile([0.6, 0.2, 0.1, 0.7], (3, 1))}, BOXES),
+            ({"boxes": np.full((3, 4), np.nan)}, BOXES),
+            ({"presence": np.array([0.5, 1.5, 1.0])}, "presence must be 3 values in [0, 1]"),
+        ],
+        ids=[
+            "probs-wide", "probs-narrow", "probs-range", "feature-nan", "feature-inf", "region-id-past-end",
+            "region-id-negative", "feature-length", "box-inverted", "box-nan", "presence",
+        ],
+    )
+    def test_region_arrays(self, tmp_path, arrays, message):
+        self._refused(tmp_path, _one_record(**arrays), message)
+
+    @pytest.mark.parametrize(
+        "boxes, labels, message",
+        [
+            ([("zz", Box(0.1, 0.1, 0.5, 0.5))], ["a"], "ground-truth class 'zz' is not a header class"),
+            ([], ["a", "zz"], "ground-truth class 'zz' is not a header class"),
+            ([("a", Box(0, 0, 1, 1)), ("a", Box(0, 0, 0.5, 0.5))], ["a"], "more than one ground-truth box for a class"),
+            ([("b", Box(0, 0, 1, 1))], ["a"], "image_labels must include every class with a ground-truth box"),
+        ],
+        ids=["gt-class", "gt-label", "gt-repeated-class", "gt-labels-miss-a-box"],
+    )
+    def test_ground_truth(self, tmp_path, boxes, labels, message):
+        record = _one_record()
+        record.gt = formats.GtRecord(boxes=boxes, image_labels=labels)
+        self._refused(tmp_path, record, message)
+
+    def test_repeated_image_id(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DataError, match="^image 'bad' appears more than once$"):
+            formats.write_dataset(path, self.HEADER, [_one_record(), _one_record()])
+        assert not path.exists()
+
+    def test_first_length_binds_when_the_header_declares_none(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        first = _one_record(dim=3)
+        first.image_id = "first"
+        header = formats.DatasetHeader(classes=("a", "b"), n_regions=3)
+        with pytest.raises(DataError, match=r"^image 'bad': features length 2 != 3$"):
+            formats.write_dataset(path, header, [first, _one_record()])
+        assert not path.exists()
+
+    def _refused(self, tmp_path, record, message):
+        path = tmp_path / "d.jsonl"
+        good = _one_record()
+        good.image_id, good.gt = "good", self.GT
+        with pytest.raises(DataError, match=f"^{re.escape(f'image {record.image_id!r}: {message}')}$"):
+            formats.write_dataset(path, self.HEADER, [good, record])
+        assert not path.exists()
+
+
+_FAULTS = [None, "region_id", "box", "presence", "feature_nan", "feature_length", "probs_width", "probs_range",
+           "gt_class", "gt_label", "gt_repeat", "gt_cover", "anatomy_shape", "repeat_id"]
+
+
+@st.composite
+def _code_built_records(draw):
+    """A header and records built in code, with at most one fault of ``_FAULTS`` in one record."""
+    classes = tuple(draw(st.permutations(["a", "b", "c"]))[: draw(st.integers(1, 3))])
+    n_regions, dim, c = draw(st.integers(1, 4)), draw(st.integers(1, 3)), len(classes)
+    header = formats.DatasetHeader(classes, n_regions, dim if draw(st.booleans()) else None)
+    with_features, with_probs = draw(st.booleans()), draw(st.booleans())
+    unit = st.floats(0.0, 1.0)
+    records = []
+    for image in range(draw(st.integers(1, 3))):
+        ids = draw(st.permutations(range(n_regions)))[: draw(st.integers(0, n_regions))]
+        ids, n = np.array(ids, dtype=np.int64), len(ids)
+        # rows (x1, y1) and (x2, y2), each column sorted: x1 <= x2 and y1 <= y2
+        corners = np.sort(np.array(draw(st.lists(unit, min_size=4 * n, max_size=4 * n))).reshape(n, 2, 2), axis=1)
+        boxes = corners.reshape(n, 4)
+        presence = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        features = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * dim, max_size=n * dim)))
+        features = features.reshape(n, dim)
+        probs = np.array(draw(st.lists(unit, min_size=n * c, max_size=n * c))).reshape(n, c)
+        gt = None
+        if draw(st.booleans()):
+            boxed = draw(st.permutations(classes))[: draw(st.integers(0, c))]
+            labels = sorted(set(boxed) | set(draw(st.lists(st.sampled_from(classes), max_size=c))))
+            gt = formats.GtRecord([(name, Box(0.1, 0.2, 0.3, 0.4)) for name in boxed], labels)
+        anatomy = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n_regions * c, max_size=n_regions * c))
+        records.append(
+            formats.ImageRecord.from_arrays(
+                f"img{image}", ids, boxes, presence, features if with_features else None,
+                probs if with_probs else None, gt,
+                np.array(anatomy).reshape(n_regions, c) if draw(st.booleans()) else None,
+            )
+        )
+    fault = draw(st.sampled_from(_FAULTS))
+    rec = draw(st.sampled_from(records))
+    n = len(rec.region_ids)
+    if fault == "region_id" and n:
+        rec.region_ids[-1] = n_regions + draw(st.integers(0, 2))
+    elif fault == "box" and n:
+        rec.boxes[0, draw(st.integers(0, 3))] = draw(st.sampled_from([np.nan, 1.5, -0.5]))
+    elif fault == "presence" and n:
+        rec.presence[0] = draw(st.sampled_from([np.nan, 1.5, -0.5]))
+    elif fault == "feature_nan" and rec.features is not None:
+        rec.features[0, 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif fault == "feature_length" and rec.features is not None:
+        rec.features = np.zeros((n, dim + 1))
+    elif fault == "probs_width" and rec.pathology_probs is not None:
+        rec.pathology_probs = np.zeros((n, c + draw(st.sampled_from([-1, 1]))))
+    elif fault == "probs_range" and rec.pathology_probs is not None:
+        rec.pathology_probs[0, 0] = draw(st.sampled_from([np.nan, 1.5, -0.5]))
+    elif fault == "gt_class" and rec.gt is not None:
+        rec.gt.boxes.append(("zz", Box(0, 0, 1, 1)))
+    elif fault == "gt_label" and rec.gt is not None:
+        rec.gt.image_labels.append("zz")
+    elif fault == "gt_repeat" and rec.gt is not None and rec.gt.boxes:
+        rec.gt.boxes.append(rec.gt.boxes[0])
+    elif fault == "gt_cover" and rec.gt is not None and rec.gt.boxes:
+        rec.gt.image_labels.remove(rec.gt.boxes[0][0])
+    elif fault == "anatomy_shape":
+        rec.anatomy_labels = np.zeros((n_regions + 1, c))
+    elif fault == "repeat_id" and len(records) > 1:
+        rec.image_id = records[0].image_id if rec is not records[0] else records[1].image_id
+    return header, records
+
+
+class TestCodeBuiltRecordsRoundTrip:
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_code_built_records())
+    def test_accepted_reads_back_equal_and_rejected_writes_nothing(self, tmp_path, data):
+        header, records = data
+        path = tmp_path / "d.jsonl"
+        path.unlink(missing_ok=True)
+        try:
+            formats.write_dataset(path, header, records)
+        except DataError:
+            assert not path.exists()
+            return
+        header2, records2 = formats.read_dataset(path)
+        lengths = [r.features.shape[1] for r in records if r.features is not None]
+        dim = header.feature_dim if header.feature_dim is not None else (lengths or [None])[0]
+        assert header2 == formats.DatasetHeader(header.classes, header.n_regions, dim)
+        assert len(records2) == len(records)
+        for a, b in zip(records, records2):
+            assert a.image_id == b.image_id
+            for name in ("region_ids", "boxes", "presence", "features", "pathology_probs", "anatomy_labels"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None and y is None) or (x.shape == y.shape and np.array_equal(x, y)), name
+            assert (a.gt is None and b.gt is None) or (a.gt.boxes, a.gt.image_labels) == (b.gt.boxes, b.gt.image_labels)
+
+
+class TestWriterAnatomyValues:
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_values_other_than_0_and_1_rejected_before_writing(self, tmp_path, value):
+        # the file lists class names per region, so 0.5 or 2 would read back as 1 and NaN as 0
+        header = formats.DatasetHeader(classes=("a", "b"), n_regions=2)
+        anatomy = np.array([[1.0, 0.0], [0.0, value]])
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DataError, match=r"^image 'bad': anatomy_labels must hold only 0 and 1$"):
+            formats.write_dataset(path, header, [formats.ImageRecord("bad", [], anatomy_labels=anatomy)])
         assert not path.exists()
 
 

@@ -25,7 +25,7 @@ from proxydet.head import (
     train,
 )
 from proxydet.head import _sigmoid as _head_sigmoid
-from proxydet.losses import CombinedLossWeights, asl_grad, finite_difference_check
+from proxydet.losses import CombinedLossWeights, asl_grad, finite_difference_check, region_targets
 
 
 def _params(d=6, c=3, seed=0):
@@ -125,17 +125,17 @@ class TestForward:
         assert dets.presence.tolist() == out.presence.tolist()
 
 
-def _random_batch(rng, b=2, r=3, d=6, c=3, with_anatomy=True, with_image=True):
+def _random_batch(rng, b=2, r=3, d=6, c=3, with_anatomy=True, with_image=True, present=None):
     features = rng.normal(size=(b, r, d)) * 0.7
     tgt = np.column_stack(
         [rng.uniform(0.3, 0.7, size=(b * r, 2)), rng.uniform(0.1, 0.3, size=(b * r, 2))]
     ).reshape(b, r, 4)
-    present = np.ones((b, r), dtype=bool)
+    present = np.ones((b, r), dtype=bool) if present is None else present
     anatomy = rng.integers(0, 2, size=(b, r, c)).astype(float) if with_anatomy else None
     image = (anatomy.sum(axis=1) > 0).astype(float) if (with_image and with_anatomy) else (
         rng.integers(0, 2, size=(b, c)).astype(float) if with_image else None
     )
-    return Batch(features, tgt, present, anatomy, image)
+    return Batch.of(features, tgt, present, anatomy, image)
 
 
 class TestBackward:
@@ -156,7 +156,7 @@ class TestBackward:
         x = rng.normal(size=(1, 1, 4))
         tgt = np.array([[[0.5, 0.5, 0.3, 0.3]]])
         anatomy = np.array([[[1.0]]])
-        batch = Batch(x, tgt, np.ones((1, 1), dtype=bool), anatomy, None)
+        batch = Batch.of(x, tgt, np.ones((1, 1), dtype=bool), anatomy, None)
         cfg = TrainConfig(mode="loc")
         _, grads = batch_loss_and_grads(batch, params, cfg)
         z = float(params.pathology_weight[0] @ x[0, 0] + params.pathology_bias[0])
@@ -178,6 +178,30 @@ class TestBackward:
 
         rep = finite_difference_check(f, params.flat.copy(), grads.flat)
         assert rep.max_rel_error <= 1e-4
+
+    def test_finite_differences_derive_the_targets_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return region_targets(*args, **kwargs)
+
+        monkeypatch.setattr("proxydet.head.region_targets", counted)
+        params = _params(d=5, c=2, seed=9)
+        batch = _random_batch(np.random.default_rng(8), b=2, r=3, d=5, c=2)
+        cfg = TrainConfig(mode="loc_mil")
+        _, grads = batch_loss_and_grads(batch, params, cfg)
+
+        def f(vec):
+            return batch_loss(batch, HeadParams.from_flat(vec, 5, 2), cfg).total
+
+        assert finite_difference_check(f, params.flat.copy(), grads.flat).max_rel_error <= 1e-4
+        assert len(calls) == 1
+
+    def test_batch_without_labels_rejected(self):
+        batch = _random_batch(np.random.default_rng(3))
+        with pytest.raises(ConfigError, match="samples carry neither anatomy-level nor image-level labels"):
+            Batch.of(batch.features, batch.targets.boxes, batch.targets.present, None, None)
 
     def test_gradient_record_is_the_named_gradients_in_order(self):
         batch = _random_batch(np.random.default_rng(3))
@@ -201,10 +225,10 @@ class TestBackward:
         params = _params()
         base = batch_loss(batch, params, cfg)
         perm = rng.permutation(4)
-        permuted = Batch(
+        permuted = Batch.of(
             batch.features[:, perm],
-            batch.target_boxes[:, perm],
-            batch.present[:, perm],
+            batch.targets.boxes[:, perm],
+            batch.targets.present[:, perm],
             batch.anatomy_labels[:, perm],
             batch.image_labels,
         )
@@ -224,21 +248,21 @@ class TestBackward:
     @pytest.mark.parametrize("mode", ["loc", "mil", "loc_mil"])
     def test_batch_is_mean_of_single_samples_with_absent_regions(self, mode):
         rng = np.random.default_rng(14)
-        batch = _random_batch(rng, b=3, r=4, d=5, c=2)
-        batch.present = np.array(
+        present = np.array(
             [[True, False, True, False], [False, False, False, True], [True, True, True, False]]
         )
         if mode == "loc":
-            batch.present[1] = False  # a sample without present regions weighs 0 in its terms
+            present[1] = False  # a sample without present regions weighs 0 in its terms
+        batch = _random_batch(rng, b=3, r=4, d=5, c=2, present=present)
         params = _params(d=5, c=2, seed=15)
         cfg = TrainConfig(mode=mode)
         whole, grads = batch_loss_and_grads(batch, params, cfg)
         singles = [
             batch_loss_and_grads(
-                Batch(
+                Batch.of(
                     batch.features[i : i + 1],
-                    batch.target_boxes[i : i + 1],
-                    batch.present[i : i + 1],
+                    batch.targets.boxes[i : i + 1],
+                    batch.targets.present[i : i + 1],
                     batch.anatomy_labels[i : i + 1],
                     batch.image_labels[i : i + 1],
                 ),
@@ -421,6 +445,14 @@ class TestTrain:
             samples, TrainConfig(mode="mil", max_steps=5, learning_rate=1e-3)
         )
         assert result.steps_run == 5
+
+    @pytest.mark.parametrize("mode", ["loc", "mil", "loc_mil"])
+    def test_samples_without_any_labels_named_before_the_mode(self, mode):
+        samples = _toy_samples(8)
+        for s in samples:
+            s.anatomy_labels = s.image_labels = None
+        with pytest.raises(ConfigError, match="^samples carry neither anatomy-level nor image-level labels$"):
+            train(samples, TrainConfig(mode=mode, max_steps=1))
 
     def test_learning_rate_defaults_per_mode(self):
         assert TrainConfig(mode="loc").lr == 3e-5
