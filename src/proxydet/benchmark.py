@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .evaluation import EvalConfig, GroundTruth, evaluate
 from .fusion import FusionConfig
 from .geometry import corner_to_center_batch
@@ -68,7 +70,9 @@ def ground_truth_from_scenes(scenes: list[SynthScene], n_classes: int) -> Ground
 def predict_scenes(
     scenes: list[SynthScene], params: HeadParams, cfg: InferenceConfig
 ) -> dict[str, list]:
-    boxes = detect_pathologies([predict_regions(scene.features, params) for scene in scenes], cfg)
+    # np.stack needs at least one array; no scenes are a batch of no images
+    features = np.stack([scene.features for scene in scenes]) if scenes else np.zeros((0, 0, params.feature_dim))
+    boxes = detect_pathologies(predict_regions(features, params), cfg)
     return {scene.image_id: b for scene, b in zip(scenes, boxes)}
 
 

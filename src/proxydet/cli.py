@@ -207,15 +207,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     else:
         out_classes = train_classes
 
-    detections = []
-    for rec in records:
-        if params is not None:
-            det = predict_regions(rec.head_features(header.n_regions, "checkpoint inference"), params)
-        else:
-            det = formats.record_to_detections(rec, header)
-        if mapping is not None:
-            det = apply_class_mapping(det, mapping)
-        detections.append(det)
+    if params is not None:
+        detections = predict_regions(formats.records_to_features(records, header, params.feature_dim), params)
+    else:
+        detections = formats.records_to_detections(records, header)
+    if mapping is not None:
+        detections = apply_class_mapping(detections, mapping)
     boxes = detect_pathologies(detections, cfg)
     predictions = {rec.image_id: b for rec, b in zip(records, boxes)}
     formats.write_predictions(args.out, out_classes, predictions)

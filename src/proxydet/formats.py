@@ -764,15 +764,34 @@ def records_to_train_samples(
     return samples
 
 
-def record_to_detections(rec: ImageRecord, header: DatasetHeader) -> RegionDetections:
-    """A record's stored boxes, presence and probabilities in region-id order (no model)."""
-    if rec.pathology_probs is None and len(rec.region_ids):
-        raise ConfigError(
-            f"image {rec.image_id!r}: not every region has pathology_probs; "
-            "provide a checkpoint or store probabilities in the dataset"
-        )
-    probs = np.zeros((0, len(header.classes))) if rec.pathology_probs is None else rec.pathology_probs
-    return RegionDetections(rec.boxes, rec.presence, probs)
+def records_to_features(records: list[ImageRecord], header: DatasetHeader, feature_dim: int) -> np.ndarray:
+    """The ``(N, n_regions, feature_dim)`` head input of checkpoint inference, image ``i`` from ``records[i]``."""
+    features = np.empty((len(records), header.n_regions, feature_dim))
+    for rows, rec in zip(features, records):
+        rows[...] = rec.head_features(header.n_regions, "checkpoint inference")
+    return features
+
+
+def records_to_detections(records: list[ImageRecord], header: DatasetHeader) -> RegionDetections:
+    """The records' stored boxes, presence and probabilities as one batch, rows in region-id order (no model).
+
+    Each array is one concatenation; its leading empty block gives a batch
+    of no rows the header's class count.
+    """
+    for rec in records:
+        if rec.pathology_probs is None and len(rec.region_ids):
+            raise ConfigError(
+                f"image {rec.image_id!r}: not every region has pathology_probs; "
+                "provide a checkpoint or store probabilities in the dataset"
+            )
+    return RegionDetections(
+        np.concatenate([np.zeros((0, 4)), *(rec.boxes for rec in records)]),
+        np.concatenate([np.zeros(0), *(rec.presence for rec in records)]),
+        np.concatenate(
+            [np.zeros((0, len(header.classes))), *(rec.pathology_probs for rec in records if len(rec.region_ids))]
+        ),
+        np.cumsum([0, *(len(rec.region_ids) for rec in records)]),
+    )
 
 
 def ground_truth_from_records(

@@ -148,14 +148,28 @@ def forward(features: np.ndarray, params: HeadParams) -> ForwardOutput:
 
 
 def predict_regions(features: np.ndarray, params: HeadParams) -> RegionDetections:
-    """Run the heads on one image's features and package its region detections.
+    """Run the heads on a batch of images' features and package their region detections.
 
-    Row ``i`` is region ``i`` (the fixed token-to-region assignment); its
-    box is the predicted center/size box converted to corner form.
+    ``features`` is ``(N, R, feature_dim)``; image ``i`` gets rows
+    ``i * R`` to ``(i + 1) * R - 1`` of the record, and its row ``j`` is
+    region ``j`` (the fixed token-to-region assignment), whose box is the
+    predicted center/size box converted to corner form. Each stacked
+    product makes the BLAS call the image's own :func:`forward` would, so
+    every image's outputs are bit-identical to it. A reshaped ``(N * R, D)``
+    product is not: it gives other last bits at some widths.
     """
-    out = forward(features, params)
-    corners, _ = center_to_corner_batch(out.boxes)
-    return RegionDetections(corners, out.presence, out.pathology_probs)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != params.feature_dim:
+        raise ValueError(f"features must be (N, R, {params.feature_dim}), got {x.shape}")
+    n, r, _ = x.shape
+    cache = _forward_cache(x, params)
+    corners, _ = center_to_corner_batch(cache["boxes"].reshape(n * r, 4))
+    return RegionDetections(
+        corners,
+        cache["p_pres"].reshape(n * r),
+        cache["p_path"].reshape(n * r, params.n_classes),
+        np.arange(n + 1) * r,
+    )
 
 
 def _forward_cache(x: np.ndarray, params: HeadParams) -> dict[str, np.ndarray]:

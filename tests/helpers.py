@@ -6,7 +6,8 @@ independent of the library code it checks. The fusion, class-mapping and
 candidate references are the sequential definitions the array code in
 ``proxydet`` must reproduce bit for bit, as are the per-pair GIoU and
 center/size conversion, the per-column GIoU gradient, the
-array-by-array training loop and the per-class, per-threshold evaluator.
+array-by-array training loop, the per-image head prediction and the
+per-class, per-threshold evaluator.
 The region-by-region dataset reader is the one the columnar reader in
 ``proxydet.formats`` must match array for array and error for error.
 """
@@ -22,8 +23,16 @@ from proxydet import formats
 from proxydet.errors import DataError
 from proxydet.evaluation import EvalConfig, EvalReport, ReportCounts
 from proxydet.fusion import FusionConfig, ScoredBox
-from proxydet.geometry import Box
-from proxydet.head import Batch, HeadParams, TrainConfig, TrainSample, batch_loss_and_grads, init_head_params
+from proxydet.geometry import Box, center_to_corner_batch
+from proxydet.head import (
+    Batch,
+    HeadParams,
+    TrainConfig,
+    TrainSample,
+    batch_loss_and_grads,
+    forward,
+    init_head_params,
+)
 from proxydet.inference import (
     ClassMapping,
     InferenceConfig,
@@ -355,6 +364,20 @@ def map_probs_ref(mapping: ClassMapping, train_classes: list[str], probs) -> np.
         src = probs[[index[s] for s in entry.sources]]
         out[i] = float(np.mean(src)) if entry.combiner == "mean" else float(np.max(src))
     return out
+
+
+def predict_regions_ref(features: np.ndarray, params: HeadParams) -> RegionDetections:
+    """Image-by-image head prediction: :func:`forward` and the corner conversion on each ``(R, D)`` image.
+
+    The per-image records are stacked into one batch; the batched
+    ``predict_regions`` must equal it bit for bit.
+    """
+    parts = []
+    for x in features:
+        out = forward(x, params)
+        corners, _ = center_to_corner_batch(out.boxes)
+        parts.append(RegionDetections(corners, out.presence, out.pathology_probs))
+    return RegionDetections.concat(parts, params.n_classes)
 
 
 def detect_pathologies_ref(

@@ -158,6 +158,19 @@ class TestFullPipeline:
         assert preds["empty"] == []
         assert [p.score for p in preds["img"]] == ([0.8] if mapped else [0.8, 0.1])
 
+    @pytest.mark.parametrize("source", ["checkpoint", "mapped"])
+    def test_infer_header_only_dataset(self, small_run, tmp_path, source):
+        data, ckpt, _ = small_run
+        header_only, out = tmp_path / "d.jsonl", tmp_path / "p.jsonl"
+        header_only.write_text(data.read_text().splitlines()[0] + "\n")
+        classes = formats.read_dataset(header_only)[0].classes
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"all": {"sources": list(classes), "combiner": "max"}}))
+        extra = ["--checkpoint", ckpt] if source == "checkpoint" else ["--probs-from-file", "--mapping", mapping]
+        assert _run("infer", "--data", header_only, *extra, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 1
+        assert formats.read_predictions(out) == ((list(classes) if source == "checkpoint" else ["all"]), {})
+
     def test_eval_on_gt_scores_one(self, pipeline_files, tmp_path):
         _, holdout = pipeline_files
         header, records = formats.read_dataset(holdout)

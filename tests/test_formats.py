@@ -431,7 +431,9 @@ class TestImageRecord:
         assert rec.region_ids.shape == (0,) and rec.boxes.shape == (0, 4) and rec.presence.shape == (0,)
         assert rec.features is None and rec.pathology_probs is None
         header = formats.DatasetHeader(classes=("a", "b", "c"), n_regions=2)
-        assert formats.record_to_detections(rec, header).pathology_probs.shape == (0, 3)
+        dets = formats.records_to_detections([rec, rec], header)
+        assert dets.pathology_probs.shape == (0, 3) and dets.offsets.tolist() == [0, 0, 0]
+        assert formats.records_to_detections([], header).pathology_probs.shape == (0, 3)
 
     def test_writer_emits_rows_in_region_id_order(self, tmp_path):
         header = formats.DatasetHeader(classes=("a", "b"), n_regions=3, feature_dim=3)

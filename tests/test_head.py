@@ -1,12 +1,18 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import AdamWRef, auroc, center_to_corner_ref, train_ref
+from helpers import AdamWRef, auroc, center_to_corner_ref, predict_regions_ref, train_ref
 
+import proxydet
+from proxydet.benchmark import predict_scenes
 from proxydet.errors import ConfigError, TrainingError
 from proxydet.geometry import Box
 from proxydet.head import (
@@ -25,6 +31,7 @@ from proxydet.head import (
     train,
 )
 from proxydet.head import _sigmoid as _head_sigmoid
+from proxydet.inference import InferenceConfig
 from proxydet.losses import CombinedLossWeights, asl_grad, finite_difference_check, region_targets
 
 
@@ -94,9 +101,9 @@ class TestForward:
     def test_predict_regions_packaging(self):
         p = _params(d=6, c=3)
         x = np.random.default_rng(4).normal(size=(4, 6))
-        dets = predict_regions(x, p)
+        dets = predict_regions(x[None], p)
         out = forward(x, p)
-        assert dets.boxes.shape == (4, 4)
+        assert dets.boxes.shape == (4, 4) and dets.offsets.tolist() == [0, 4]
         assert np.array_equal(dets.presence, out.presence)
         assert np.array_equal(dets.pathology_probs, out.pathology_probs)
         for i, (cx, cy, w, h) in enumerate(out.boxes):
@@ -120,9 +127,53 @@ class TestForward:
         x = rng.normal(size=(r, 5)) * 3.0
         out = forward(x, p)
         boxes = [center_to_corner_ref(*row) for row in out.boxes]
-        dets = predict_regions(x, p)
+        dets = predict_regions(x[None], p)
         assert [Box(*row) for row in dets.boxes.tolist()] == boxes
         assert dets.presence.tolist() == out.presence.tolist()
+
+
+class TestPredictRegionsBatch:
+    """One stacked forward over a batch equals the per-image forward bit for bit.
+
+    numpy runs a stacked ``(N, R, D) @ (D, K)`` product as one BLAS call
+    per image, the call the image's own forward makes.
+    """
+
+    @pytest.mark.parametrize("d, r, c, n", [(16, 8, 5, 50), (64, 29, 13, 30), (512, 29, 13, 20)])
+    def test_bits_equal_per_image_forward(self, d, r, c, n):
+        rng = np.random.default_rng(d)
+        params = init_head_params(d, c, rng)
+        params.flat[...] += rng.normal(scale=0.1, size=params.flat.size)  # nonzero biases too
+        features = rng.normal(size=(n, r, d))
+        got, want = predict_regions(features, params), predict_regions_ref(features, params)
+        for name in ("boxes", "presence", "pathology_probs", "offsets"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_bits_equal_per_image_forward_on_two_blas_threads(self):
+        # BLAS reads its thread count when it loads, so the check runs again in a fresh process
+        src = str(Path(proxydet.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        test = f"{Path(__file__).resolve()}::TestPredictRegionsBatch::test_bits_equal_per_image_forward"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "3 passed" in proc.stdout
+
+    def test_empty_batch(self):
+        p = _params(d=6, c=3)
+        for n, r in ((0, 4), (3, 0)):
+            dets = predict_regions(np.zeros((n, r, 6)), p)
+            assert dets.pathology_probs.shape == (0, 3) and dets.offsets.tolist() == [0] * (n + 1)
+        assert predict_scenes([], p, InferenceConfig()) == {}
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"features must be \(N, R, 6\)"):
+            predict_regions(np.zeros((4, 6)), _params(d=6))
+        with pytest.raises(ValueError, match=r"features must be \(N, R, 6\)"):
+            predict_regions(np.zeros((1, 4, 5)), _params(d=6))
 
 
 def _random_batch(rng, b=2, r=3, d=6, c=3, with_anatomy=True, with_image=True, present=None):

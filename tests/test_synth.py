@@ -161,7 +161,8 @@ class TestNoiseFreeSeparability:
             )
             for s in scenes
         ]
-        boxes = detect_pathologies(regions, InferenceConfig(probability_threshold=0.5))
+        batch = RegionDetections.concat(regions, cfg.n_classes)
+        boxes = detect_pathologies(batch, InferenceConfig(probability_threshold=0.5))
         predictions = {s.image_id: b for s, b in zip(scenes, boxes)}
         report = evaluate(predictions, gt)
         assert report.overall_map == 1.0
